@@ -22,7 +22,7 @@ fn bench_gru_forward(c: &mut Criterion) {
             let mut tape = Tape::new();
             let xv = tape.constant(x.clone());
             let mut state = gru.zero_state(&mut tape, 32);
-            black_box(gru.step(&mut tape, &store, xv, &mut state, false, &mut rng))
+            black_box(gru.step(&mut tape, &store, xv, &mut state))
         })
     });
 }
@@ -41,7 +41,7 @@ fn bench_gru_bptt(c: &mut Criterion) {
             let mut last = None;
             for _ in 0..24 {
                 let xv = tape.constant(x.clone());
-                last = Some(gru.step(&mut tape, &store, xv, &mut state, false, &mut rng));
+                last = Some(gru.step(&mut tape, &store, xv, &mut state));
             }
             let h = last.expect("steps ran");
             let loss = tape.mean_all(h);

@@ -1,9 +1,6 @@
-//! Criterion benches for the serve path: tape-based embedding (the old
-//! inference route, which builds an autograd tape it never uses) vs the
-//! tape-free [`FrozenEncoder`] path, and the [`QueryEngine`] micro-batch
-//! fan-out in serial and parallel modes. The frozen path should beat the
-//! tape path well beyond noise on a single thread — it allocates no tape
-//! nodes and reuses scratch buffers across batches.
+//! Criterion benches for the serve path: the tape-free
+//! [`FrozenEncoder`](e2dtc::FrozenEncoder) embedding and the
+//! [`QueryEngine`] micro-batch fan-out in serial and parallel modes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use e2dtc::{E2dtc, E2dtcConfig};
@@ -15,8 +12,8 @@ use traj_query::{QueryConfig, QueryEngine};
 /// One trained-enough model plus a fresh dataset to embed: the
 /// steady-state serving scenario (weights fixed, data unseen). The
 /// `fast` preset (embed 32 / hidden 48 / seq ≤ 48) is the smallest
-/// realistic serve shape; at `tiny` dims fixed per-call overhead hides
-/// the tape-vs-frozen difference the bench exists to measure.
+/// realistic serve shape; at `tiny` dims fixed per-call overhead
+/// dominates.
 fn setup(n: usize) -> (E2dtc, Dataset) {
     let city = SynthSpec::hangzhou_like(200, 7).generate();
     let model = E2dtc::new(&city.dataset, E2dtcConfig::fast(7));
@@ -25,13 +22,10 @@ fn setup(n: usize) -> (E2dtc, Dataset) {
 }
 
 fn bench_embed_paths(c: &mut Criterion) {
-    let (mut model, data) = setup(200);
+    let (model, data) = setup(200);
     let frozen = Arc::new(model.freeze());
     let mut group = c.benchmark_group("embed_200");
     group.sample_size(10);
-    group.bench_function("tape", |b| {
-        b.iter(|| black_box(model.embed_dataset_training(&data)))
-    });
     group.bench_function("frozen", |b| {
         b.iter(|| black_box(frozen.embed_dataset(&data)))
     });

@@ -17,16 +17,13 @@
 // iterator-zip rewrites obscure them.
 #![allow(clippy::needless_range_loop)]
 
-pub mod dbscan;
 pub mod elbow;
 pub mod hungarian;
 pub mod kmeans;
 pub mod kmedoids;
-pub mod kselect;
 pub mod metrics;
 pub mod points;
 
-pub use dbscan::{dbscan, DbscanConfig, DbscanResult};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use kmedoids::{kmedoids, kmedoids_alternating, KMedoidsConfig, KMedoidsResult};
 pub use metrics::{nmi, rand_index, silhouette, uacc};

@@ -129,59 +129,3 @@ proptest! {
         prop_assert!((res.inertia - recomputed).abs() < 1e-3);
     }
 }
-
-mod dbscan_properties {
-    use proptest::prelude::*;
-    use traj_cluster::dbscan::{dbscan, DbscanConfig, NOISE};
-
-    fn line_matrix(xs: &[f64]) -> Vec<f64> {
-        let n = xs.len();
-        let mut d = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                d[i * n + j] = (xs[i] - xs[j]).abs();
-            }
-        }
-        d
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn labels_are_valid(
-            xs in prop::collection::vec(0.0f64..100.0, 2..20),
-            eps in 0.5f64..20.0,
-            min_pts in 1usize..4,
-        ) {
-            let d = line_matrix(&xs);
-            let res = dbscan(&d, xs.len(), DbscanConfig { eps, min_pts });
-            for &l in &res.labels {
-                prop_assert!(l == NOISE || l < res.num_clusters);
-            }
-            // Every discovered cluster id is used.
-            for c in 0..res.num_clusters {
-                prop_assert!(res.labels.contains(&c));
-            }
-        }
-
-        #[test]
-        fn growing_eps_never_increases_noise(
-            xs in prop::collection::vec(0.0f64..100.0, 3..15),
-        ) {
-            let d = line_matrix(&xs);
-            let small = dbscan(&d, xs.len(), DbscanConfig { eps: 1.0, min_pts: 2 });
-            let large = dbscan(&d, xs.len(), DbscanConfig { eps: 10.0, min_pts: 2 });
-            prop_assert!(large.noise_points().len() <= small.noise_points().len());
-        }
-
-        #[test]
-        fn min_pts_one_has_no_noise(
-            xs in prop::collection::vec(0.0f64..100.0, 2..15),
-        ) {
-            let d = line_matrix(&xs);
-            let res = dbscan(&d, xs.len(), DbscanConfig { eps: 1.0, min_pts: 1 });
-            prop_assert!(res.noise_points().is_empty());
-        }
-    }
-}

@@ -12,11 +12,12 @@
 //! ```
 //!
 //! `generate` emits a synthetic city labelled with the paper's Algorithm 2
-//! (σ = 0.6, λ = 0.7); `train` runs the full Algorithm 1; `assign` serves
-//! clustering requests with a frozen model; `embed` batch-embeds
-//! trajectories through the tape-free frozen encoder (loading the
-//! checkpoint without optimizer state); `evaluate` scores assignments
-//! with UACC / NMI / RI.
+//! (σ = 0.6, λ = 0.7); `train` runs the full Algorithm 1; `assign` and
+//! `embed` serve clustering requests through the tape-free frozen encoder
+//! (loading the checkpoint without optimizer state) — `assign` writes the
+//! cluster labels and fails with an error on a model without centroids
+//! (`--loss l0`), `embed` writes embeddings plus labels when centroids
+//! exist; `evaluate` scores assignments with UACC / NMI / RI.
 //!
 //! With `--checkpoint-dir`/`--checkpoint-every`, `train` drops an atomic,
 //! checksummed checkpoint every N epochs; after a crash, rerunning with
@@ -24,7 +25,7 @@
 //! are skipped) and produces the same model the uninterrupted run would
 //! have.
 
-use e2dtc::{E2dtc, E2dtcConfig, LossMode};
+use e2dtc::{E2dtc, E2dtcConfig, FrozenEncoder, LossMode};
 use std::collections::HashMap;
 use std::process::ExitCode;
 use traj_data::ground_truth::generate_ground_truth;
@@ -279,10 +280,16 @@ fn assign(flags: &HashMap<String, String>) -> Result<(), String> {
     let model_path = required(flags, "model")?;
     let data_path = required(flags, "data")?;
     let out = required(flags, "out")?;
-    let model = E2dtc::load(model_path).map_err(|e| e.to_string())?;
+    let frozen = FrozenEncoder::from_checkpoint(model_path).map_err(|e| e.to_string())?;
+    if frozen.centroids().is_none() {
+        return Err(format!(
+            "{model_path} has no cluster centroids (e.g. trained with --loss l0); \
+             `e2dtc embed` still writes its embeddings"
+        ));
+    }
     let data = load_labeled_json(data_path).map_err(|e| e.to_string())?;
     let t0 = std::time::Instant::now();
-    let assignments = model.assign(&data.dataset);
+    let assignments = frozen.hard_assign(&frozen.embed_dataset(&data.dataset));
     let msg = format!(
         "assigned {} trajectories in {:.0} ms",
         assignments.len(),
@@ -304,7 +311,7 @@ fn embed(flags: &HashMap<String, String>) -> Result<(), String> {
     let model_path = required(flags, "model")?;
     let data_path = required(flags, "data")?;
     let out = required(flags, "out")?;
-    let frozen = e2dtc::FrozenEncoder::from_checkpoint(model_path).map_err(|e| e.to_string())?;
+    let frozen = FrozenEncoder::from_checkpoint(model_path).map_err(|e| e.to_string())?;
     let data = load_labeled_json(data_path).map_err(|e| e.to_string())?;
     let t0 = std::time::Instant::now();
     let emb = frozen.embed_dataset(&data.dataset);

@@ -10,10 +10,14 @@
 //! `traj-query` crate for the batched fan-out engine).
 //!
 //! The forward path is the tape-free eval mirror from
-//! [`traj_nn::infer`]: bit-identical to the training-path forward
-//! (pinned by `tests/frozen_parity.rs`) while skipping all autograd
-//! bookkeeping, including the per-batch clone of every parameter tensor
-//! that `Tape::param` performs.
+//! [`traj_nn::infer`], and it is the only forward that runs without a
+//! backward: serving, `E2dtc::embed_dataset`, and `fit`'s own clustering
+//! passes all go through [`embed_tokenized`]. It is bit-identical to the
+//! tape's [`Seq2Seq::encode`] (pinned by this module's tests) — the
+//! contract Algorithm 1 rests on, since Q/P come from these embeddings
+//! while the DEC loss gradients come from the tape's — while skipping all
+//! autograd bookkeeping, including the per-batch clone of every parameter
+//! tensor that `Tape::param` performs.
 
 use crate::batcher::length_buckets;
 use crate::config::E2dtcConfig;
@@ -228,4 +232,62 @@ pub(crate) fn embed_tokenized(
         scratch.put(repr);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::E2dtc;
+    use crate::test_util::tiny_city;
+    use traj_nn::Tape;
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Encodes a pretrained model's dataset on a tape, batch by
+    /// length bucket, and compares every row with [`embed_tokenized`].
+    fn assert_tape_matches_eval(attention: bool) {
+        let city = tiny_city(30, 3);
+        let batch_size = 8;
+        let mut cfg = E2dtcConfig::tiny(3);
+        cfg.layers = 2;
+        cfg.batch_size = batch_size;
+        cfg.attention = attention;
+        let mut model = E2dtc::new(&city.dataset, cfg);
+        // One epoch so the weights are not the init.
+        let _ = model.pretrain(&city.dataset, 1);
+
+        let sequences = model.dataset_sequences(&city.dataset);
+        let lens: Vec<usize> = sequences.iter().map(Vec::len).collect();
+        let buckets = length_buckets(&lens, batch_size);
+        assert!(
+            buckets.iter().any(|b| b.iter().any(|&i| lens[i] != lens[b[0]])),
+            "fixture must contain ragged batches so masked steps run"
+        );
+        let mut scratch = Scratch::new();
+        let eval =
+            embed_tokenized(&model.model, &model.store, &sequences, batch_size, &mut scratch);
+
+        let mut tape = Tape::new();
+        for batch in &buckets {
+            tape.clear();
+            let refs: Vec<&[usize]> = batch.iter().map(|&i| sequences[i].as_slice()).collect();
+            let enc = model.model.encode(&mut tape, &model.store, &refs);
+            let repr = tape.value(enc.repr);
+            for (row, &i) in batch.iter().enumerate() {
+                assert_eq!(bits(repr.row(row)), bits(eval.row(i)), "trajectory {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn tape_encode_is_bit_identical_to_embed_tokenized() {
+        assert_tape_matches_eval(false);
+    }
+
+    #[test]
+    fn tape_encode_is_bit_identical_to_embed_tokenized_with_attention() {
+        assert_tape_matches_eval(true);
+    }
 }

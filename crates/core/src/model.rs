@@ -12,10 +12,11 @@
 //! - [`crate::persist`] — checkpoint save/load/resume.
 //!
 //! Inference entry points ([`E2dtc::embed_dataset`],
-//! [`E2dtc::soft_assignment`], [`E2dtc::assign`]) take `&self`: they run
-//! the tape-free path, which is bit-identical to the training forward
-//! (pinned by `tests/frozen_parity.rs`) and leaves the training RNG
-//! stream untouched.
+//! [`E2dtc::soft_assignment`], [`E2dtc::assign`], [`E2dtc::freeze`]) take
+//! `&self`: they run the tape-free encoder forward, the same one `fit`
+//! uses for its clustering passes, and leave the training RNG stream
+//! untouched. A tape is built only where `backward` follows — the
+//! pre-training and joint-step loops in [`crate::trainer`].
 
 use crate::cell_embedding::train_cell_embeddings;
 use crate::config::E2dtcConfig;
@@ -29,7 +30,7 @@ use rand::SeedableRng;
 use traj_data::{Dataset, Grid};
 use traj_nn::infer::Scratch;
 use traj_nn::optim::Adam;
-use traj_nn::{student_t_assignment, ParamId, ParamStore, Tape, Tensor};
+use traj_nn::{student_t_assignment, ParamId, ParamStore, Tensor};
 
 pub use crate::trainer::{EpochCallback, EpochRecord, FitResult, Phase, TrainingState};
 
@@ -220,43 +221,6 @@ impl E2dtc {
             self.model.clone(),
             self.centroids.map(|id| self.store.get(id).clone()),
         )
-    }
-
-    /// Autoencoder round-trip: encodes each trajectory and greedily
-    /// decodes `steps` tokens back, returning the reconstructed paths as
-    /// sequences of grid-cell centres. Inspects what the latent
-    /// representation retains (the t2vec premise that a representation
-    /// learned from low-sampling trajectories can "recover the
-    /// high-sampling trajectory").
-    pub fn reconstruct(
-        &mut self,
-        dataset: &Dataset,
-        steps: usize,
-    ) -> Vec<Vec<traj_data::GpsPoint>> {
-        let sequences = self.dataset_sequences(dataset);
-        let mut out: Vec<Vec<traj_data::GpsPoint>> = vec![Vec::new(); sequences.len()];
-        let mut tape = Tape::new();
-        for batch in self.make_batches_for(&sequences) {
-            tape.clear();
-            let refs: Vec<&[usize]> =
-                batch.iter().map(|&i| sequences[i].as_slice()).collect();
-            let enc = self.model.encode(&mut tape, &self.store, &refs, false, &mut self.rng);
-            let decoded = self.model.greedy_decode(
-                &mut tape,
-                &self.store,
-                &enc,
-                steps,
-                &mut self.rng,
-            );
-            for (row, &i) in batch.iter().enumerate() {
-                out[i] = decoded[row]
-                    .iter()
-                    .filter_map(|&tok| self.vocab.decode(tok))
-                    .map(|grid_tok| self.grid.cell_center(grid_tok))
-                    .collect();
-            }
-        }
-        out
     }
 }
 

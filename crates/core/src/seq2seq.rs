@@ -90,8 +90,6 @@ impl Seq2Seq {
         tape: &mut Tape,
         store: &ParamStore,
         seqs: &[&[usize]],
-        train: bool,
-        rng: &mut impl Rng,
     ) -> Encoded {
         assert!(!seqs.is_empty(), "empty batch");
         assert!(seqs.iter().all(|s| !s.is_empty()), "empty sequence in batch");
@@ -106,10 +104,10 @@ impl Seq2Seq {
                 seqs.iter().map(|s| s.get(t).copied().unwrap_or(UNK)).collect();
             let x = self.embedding.forward(tape, store, &ids);
             let top = if seqs.iter().all(|s| t < s.len()) {
-                self.encoder.step(tape, store, x, &mut state, train, rng)
+                self.encoder.step(tape, store, x, &mut state)
             } else {
                 let mask = row_mask(seqs, t, batch, hidden);
-                self.encoder.step_masked(tape, store, x, &mut state, &mask, train, rng)
+                self.encoder.step_masked(tape, store, x, &mut state, &mask)
             };
             outputs.push(top);
         }
@@ -123,7 +121,6 @@ impl Seq2Seq {
     /// # Panics
     /// Panics if `init_state` depth mismatches the decoder, or on empty
     /// targets.
-    #[allow(clippy::too_many_arguments)]
     pub fn reconstruction_loss(
         &self,
         tape: &mut Tape,
@@ -131,8 +128,6 @@ impl Seq2Seq {
         encoded: &Encoded,
         targets: &[&[usize]],
         weights: &WeightTable,
-        train: bool,
-        rng: &mut impl Rng,
     ) -> Var {
         let init_state = &encoded.state;
         assert_eq!(init_state.len(), self.decoder.layers(), "state depth mismatch");
@@ -153,10 +148,10 @@ impl Seq2Seq {
                 .collect();
             let x = self.embedding.forward(tape, store, &ids);
             let h = if targets.iter().all(|s| t < s.len()) {
-                self.decoder.step(tape, store, x, &mut state, train, rng)
+                self.decoder.step(tape, store, x, &mut state)
             } else {
                 let mask = row_mask(targets, t, batch, hidden);
-                self.decoder.step_masked(tape, store, x, &mut state, &mask, train, rng)
+                self.decoder.step_masked(tape, store, x, &mut state, &mask)
             };
             let h = match &self.attention {
                 Some(attn) => attn.attend(tape, store, h, &encoded.outputs),
@@ -177,55 +172,6 @@ impl Seq2Seq {
         }
         let total = total.expect("max_len >= 1");
         tape.scale(total, 1.0 / max_len as f32)
-    }
-}
-
-impl Seq2Seq {
-    /// Greedy decoding: starting from the encoder state, emits `steps`
-    /// tokens per batch row by feeding back the argmax prediction at each
-    /// step. This is the generative direction of the autoencoder — used to
-    /// inspect what the latent representation `v_T` retains of a
-    /// trajectory (`E2dtc::reconstruct`).
-    ///
-    /// # Panics
-    /// Panics if `init_state` depth mismatches the decoder or `steps == 0`.
-    pub fn greedy_decode(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        encoded: &Encoded,
-        steps: usize,
-        rng: &mut impl Rng,
-    ) -> Vec<Vec<usize>> {
-        let init_state = &encoded.state;
-        assert_eq!(init_state.len(), self.decoder.layers(), "state depth mismatch");
-        assert!(steps >= 1, "must decode at least one step");
-        let batch = tape.value(init_state[0]).rows();
-        let mut state = init_state.to_vec();
-        let mut out: Vec<Vec<usize>> = vec![Vec::with_capacity(steps); batch];
-        let mut prev: Vec<usize> = vec![BOS; batch];
-        for _ in 0..steps {
-            let x = self.embedding.forward(tape, store, &prev);
-            let h = self.decoder.step(tape, store, x, &mut state, false, rng);
-            let h = match &self.attention {
-                Some(attn) => attn.attend(tape, store, h, &encoded.outputs),
-                None => h,
-            };
-            let logits = self.projection.forward(tape, store, h);
-            let lv = tape.value(logits);
-            for (row, seq) in out.iter_mut().enumerate() {
-                let tok = lv
-                    .row(row)
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(j, _)| j)
-                    .expect("non-empty vocabulary");
-                seq.push(tok);
-            }
-            prev = out.iter().map(|s| *s.last().expect("pushed above")).collect();
-        }
-        out
     }
 }
 
@@ -277,10 +223,9 @@ mod tests {
     #[test]
     fn encode_handles_variable_lengths() {
         let (store, model) = tiny_model(10, 0);
-        let mut rng = StdRng::seed_from_u64(1);
         let mut tape = Tape::new();
         let seqs: Vec<&[usize]> = vec![&[2, 3, 4, 5], &[6, 7]];
-        let enc = model.encode(&mut tape, &store, &seqs, false, &mut rng);
+        let enc = model.encode(&mut tape, &store, &seqs);
         assert_eq!(tape.value(enc.repr).shape(), (2, 12));
         assert_eq!(enc.state.len(), 2);
     }
@@ -289,12 +234,11 @@ mod tests {
     fn short_sequence_repr_is_unaffected_by_padding() {
         // Encoding [6, 7] alone must equal its row in a padded batch.
         let (store, model) = tiny_model(10, 0);
-        let mut rng = StdRng::seed_from_u64(1);
         let mut tape = Tape::new();
         let batch: Vec<&[usize]> = vec![&[2, 3, 4, 5], &[6, 7]];
-        let enc_batch = model.encode(&mut tape, &store, &batch, false, &mut rng);
+        let enc_batch = model.encode(&mut tape, &store, &batch);
         let solo: Vec<&[usize]> = vec![&[6, 7]];
-        let enc_solo = model.encode(&mut tape, &store, &solo, false, &mut rng);
+        let enc_solo = model.encode(&mut tape, &store, &solo);
         let padded_row = tape.value(enc_batch.repr).row(1).to_vec();
         let solo_row = tape.value(enc_solo.repr).row(0).to_vec();
         for (a, b) in padded_row.iter().zip(&solo_row) {
@@ -307,13 +251,10 @@ mod tests {
         let wt = uniform_weights(8);
         let vocab = wt.len();
         let (store, model) = tiny_model(vocab, 2);
-        let mut rng = StdRng::seed_from_u64(3);
         let mut tape = Tape::new();
         let seqs: Vec<&[usize]> = vec![&[2, 3, 4], &[3, 4]];
-        let enc = model.encode(&mut tape, &store, &seqs, false, &mut rng);
-        let loss = model.reconstruction_loss(
-            &mut tape, &store, &enc, &seqs, &wt, false, &mut rng,
-        );
+        let enc = model.encode(&mut tape, &store, &seqs);
+        let loss = model.reconstruction_loss(&mut tape, &store, &enc, &seqs, &wt);
         let v = tape.value(loss).get(0, 0);
         assert!(v.is_finite() && v > 0.0, "loss = {v}");
     }
@@ -323,29 +264,24 @@ mod tests {
         let wt = uniform_weights(8);
         let vocab = wt.len();
         let (mut store, model) = tiny_model(vocab, 4);
-        let mut rng = StdRng::seed_from_u64(5);
         let mut opt = Adam::new(5e-3).with_max_grad_norm(5.0);
         let seqs: Vec<Vec<usize>> = vec![vec![2, 3, 4, 5], vec![5, 4, 3], vec![2, 4, 6]];
-        let loss_at = |store: &ParamStore, rng: &mut StdRng| -> f32 {
+        let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
+        let loss_at = |store: &ParamStore| -> f32 {
             let mut tape = Tape::new();
-            let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-            let enc = model.encode(&mut tape, store, &refs, false, rng);
-            let loss =
-                model.reconstruction_loss(&mut tape, store, &enc, &refs, &wt, false, rng);
+            let enc = model.encode(&mut tape, store, &refs);
+            let loss = model.reconstruction_loss(&mut tape, store, &enc, &refs, &wt);
             tape.value(loss).get(0, 0)
         };
-        let before = loss_at(&store, &mut rng);
+        let before = loss_at(&store);
         for _ in 0..30 {
             let mut tape = Tape::new();
-            let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-            let enc = model.encode(&mut tape, &store, &refs, true, &mut rng);
-            let loss = model.reconstruction_loss(
-                &mut tape, &store, &enc, &refs, &wt, true, &mut rng,
-            );
+            let enc = model.encode(&mut tape, &store, &refs);
+            let loss = model.reconstruction_loss(&mut tape, &store, &enc, &refs, &wt);
             tape.backward(loss, &mut store);
             opt.step(&mut store);
         }
-        let after = loss_at(&store, &mut rng);
+        let after = loss_at(&store);
         assert!(
             after < before * 0.9,
             "training did not reduce loss: {before} -> {after}"
@@ -356,8 +292,7 @@ mod tests {
     #[should_panic(expected = "empty batch")]
     fn empty_batch_panics() {
         let (store, model) = tiny_model(8, 0);
-        let mut rng = StdRng::seed_from_u64(0);
         let mut tape = Tape::new();
-        let _ = model.encode(&mut tape, &store, &[], false, &mut rng);
+        let _ = model.encode(&mut tape, &store, &[]);
     }
 }

@@ -271,7 +271,7 @@ impl E2dtc {
                 // embedding half of the t2vec + k-means baseline).
                 let n = dataset.len();
                 let d = self.repr_dim();
-                let emb = self.embed_dataset_training(dataset);
+                let emb = self.clustering_embeddings(dataset);
                 let res = best_kmeans(
                     emb.data(),
                     n,
@@ -293,7 +293,7 @@ impl E2dtc {
 
             // Phase transition: seed the centroids and anneal the LR.
             let _init_span = self.recorder.span("centroid_init");
-            let emb = self.embed_dataset_training(dataset);
+            let emb = self.clustering_embeddings(dataset);
             self.init_centroids(&emb);
             self.opt.set_lr(self.cfg.lr * self.cfg.selftrain_lr_scale);
             st.phase = Phase::SelfTrain;
@@ -308,7 +308,7 @@ impl E2dtc {
         while epoch < self.cfg.selftrain_epochs {
             let snap = self.snapshot(&st);
             // Epoch bookkeeping: Q, P, assignments, stopping rule.
-            let emb = self.embed_dataset_training(dataset);
+            let emb = self.clustering_embeddings(dataset);
             let q = student_t_assignment(&emb, self.store.get(centroids_id));
             let p = target_distribution(&q);
             let assign = hard_assignment(&q);
@@ -418,7 +418,7 @@ impl E2dtc {
         drop(phase_span);
 
         // Final assignment with the trained parameters.
-        let emb = self.embed_dataset_training(dataset);
+        let emb = self.clustering_embeddings(dataset);
         let q = student_t_assignment(&emb, self.store.get(centroids_id));
         drop(fit_span);
         self.finish_run();
@@ -487,15 +487,13 @@ impl E2dtc {
             tape.clear();
             let input_refs: Vec<&[usize]> = inputs.iter().map(Vec::as_slice).collect();
             let target_refs: Vec<&[usize]> = targets.iter().map(Vec::as_slice).collect();
-            let enc = self.model.encode(tape, &self.store, &input_refs, true, &mut self.rng);
+            let enc = self.model.encode(tape, &self.store, &input_refs);
             let loss = self.model.reconstruction_loss(
                 tape,
                 &self.store,
                 &enc,
                 &target_refs,
                 &self.weights,
-                true,
-                &mut self.rng,
             );
             let loss_val = self.observe_loss(tape.value(loss).get(0, 0));
             tape.backward(loss, &mut self.store);
@@ -541,29 +539,14 @@ impl E2dtc {
         (rec, rolled)
     }
 
-    /// Embeds every trajectory of `dataset` through the *training-loop*
-    /// forward: the tape path, visiting batches in shuffled order so the
-    /// RNG stream advances exactly as it always has (checkpoint resume
-    /// and the golden-run suite both pin that stream). Values are
-    /// bit-identical to the tape-free [`E2dtc::embed_dataset`]
-    /// (`tests/frozen_parity.rs`); only the RNG side effect differs.
-    pub fn embed_dataset_training(&mut self, dataset: &Dataset) -> Tensor {
-        let sequences = self.dataset_sequences(dataset);
-        let n = sequences.len();
-        let d = self.repr_dim();
-        let mut out = Tensor::zeros(n, d);
-        let mut tape = Tape::new();
-        for batch in self.make_batches_for(&sequences) {
-            tape.clear();
-            let refs: Vec<&[usize]> =
-                batch.iter().map(|&i| sequences[i].as_slice()).collect();
-            let enc = self.model.encode(&mut tape, &self.store, &refs, false, &mut self.rng);
-            let repr = tape.value(enc.repr);
-            for (row, &i) in batch.iter().enumerate() {
-                out.row_mut(i).copy_from_slice(repr.row(row));
-            }
-        }
-        out
+    /// Embeds `dataset` for fit's clustering passes (centroid init, the
+    /// per-epoch Q/P refresh, the final assignment, the L0 k-means). No
+    /// gradient flows through these, so they run the eval forward, which
+    /// is bit-identical to the tape's (`encoder::tests`).
+    fn clustering_embeddings(&mut self, dataset: &Dataset) -> Tensor {
+        // Draw the batch shuffle anyway so goldens, resume and seeded runs stay byte-identical.
+        self.make_batches(dataset.len());
+        self.embed_dataset(dataset)
     }
 
     /// Initializes the cluster centroids by k-means over the embeddings
@@ -603,18 +586,14 @@ impl E2dtc {
 
         // Anchor embeddings from the *original* sequences; positives from
         // the corrupted variants (which also drive reconstruction).
-        let enc_orig =
-            self.model.encode(tape, &self.store, &target_refs, true, &mut self.rng);
-        let enc_corr =
-            self.model.encode(tape, &self.store, &input_refs, true, &mut self.rng);
+        let enc_orig = self.model.encode(tape, &self.store, &target_refs);
+        let enc_corr = self.model.encode(tape, &self.store, &input_refs);
         let l_r = self.model.reconstruction_loss(
             tape,
             &self.store,
             &enc_corr,
             &target_refs,
             &self.weights,
-            true,
-            &mut self.rng,
         );
         let mut total = l_r;
         let lr_val = tape.value(l_r).get(0, 0);
@@ -759,16 +738,7 @@ impl E2dtc {
     /// shuffled batch order.
     fn make_batches(&mut self, n: usize) -> Vec<Vec<usize>> {
         let lens: Vec<usize> = (0..n).map(|i| self.sequences[i].len()).collect();
-        self.batches_from_lens(&lens)
-    }
-
-    pub(crate) fn make_batches_for(&mut self, sequences: &[Vec<usize>]) -> Vec<Vec<usize>> {
-        let lens: Vec<usize> = sequences.iter().map(Vec::len).collect();
-        self.batches_from_lens(&lens)
-    }
-
-    fn batches_from_lens(&mut self, lens: &[usize]) -> Vec<Vec<usize>> {
-        let mut batches = length_buckets(lens, self.cfg.batch_size);
+        let mut batches = length_buckets(&lens, self.cfg.batch_size);
         shuffle_batches(&mut batches, &mut self.rng);
         batches
     }

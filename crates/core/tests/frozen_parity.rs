@@ -1,18 +1,18 @@
-//! Bit-parity between the training-path (tape) forward and the tape-free
-//! frozen forward — the contract that lets inference skip autograd
-//! entirely.
+//! Bit-parity between the serving paths and the forward `fit` runs.
 //!
-//! Three paths must agree to the last bit for every trajectory:
+//! Every forward that is not differentiated runs the one tape-free eval
+//! path (`encoder::embed_tokenized`); its bit-identity with the tape's
+//! `Seq2Seq::encode` is pinned inside the crate (`encoder::tests`). Here
+//! the public surfaces must agree to the last bit for every trajectory:
 //!
-//! 1. `E2dtc::embed_dataset_training` — tape-based, RNG-consuming (the
-//!    forward `fit` runs every epoch);
-//! 2. `E2dtc::embed_dataset` — tape-free `&self` path;
+//! 1. `E2dtc::fit`'s returned embeddings (its final clustering pass);
+//! 2. `E2dtc::embed_dataset` — the `&self` path;
 //! 3. `FrozenEncoder::embed_dataset` — the same path through a frozen
 //!    snapshot, including one round-tripped through a v3 checkpoint.
 //!
-//! Exactness holds because the eval kernels mirror the tape ops'
-//! float-operation order exactly (see `traj_nn::infer`); any drift is a
-//! kernel bug, not tolerance noise, so every comparison is `to_bits`.
+//! Exactness holds because every path runs the same kernels in the same
+//! float-operation order; any drift is a bug, not tolerance noise, so
+//! every comparison is `to_bits`.
 
 use e2dtc::{E2dtc, E2dtcConfig, FrozenEncoder};
 use traj_data::SynthSpec;
@@ -37,31 +37,40 @@ fn assert_bit_identical(a: &traj_nn::Tensor, b: &traj_nn::Tensor, what: &str) {
 }
 
 #[test]
-fn frozen_forward_is_bit_identical_to_tape_forward() {
+fn fit_embeddings_are_bit_identical_to_frozen_embed_dataset() {
     let city = tiny_city(30, 3);
     let mut model = E2dtc::new(&city.dataset, E2dtcConfig::tiny(3));
-    // A couple of pre-training epochs so the weights are not the init.
-    let _ = model.pretrain(&city.dataset, 2);
-
-    let tape = model.embed_dataset_training(&city.dataset);
-    let tape_free = model.embed_dataset(&city.dataset);
-    assert_bit_identical(&tape, &tape_free, "tape vs E2dtc::embed_dataset");
+    let fit = model.fit(&city.dataset);
+    let from_fit = traj_nn::Tensor::from_vec(city.dataset.len(), fit.embed_dim, fit.embeddings);
 
     let frozen = model.freeze();
     let frozen_emb = frozen.embed_dataset(&city.dataset);
-    assert_bit_identical(&tape, &frozen_emb, "tape vs FrozenEncoder");
+    assert_bit_identical(&from_fit, &frozen_emb, "fit vs FrozenEncoder");
+    assert_eq!(frozen.hard_assign(&frozen_emb), fit.assignments, "fit vs frozen labels");
 }
 
 #[test]
 fn parity_survives_attention_configs() {
-    // The attention branch exercises a separate eval mirror; pin it too.
+    // The encoder never attends; with attention on, the decoder registers
+    // extra parameters. What this pins is that they do not shift the
+    // encoder's parameters through freeze and a checkpoint round trip.
     let city = tiny_city(20, 2);
     let mut cfg = E2dtcConfig::tiny(2);
     cfg.attention = true;
     let mut model = E2dtc::new(&city.dataset, cfg);
-    let tape = model.embed_dataset_training(&city.dataset);
+    let _ = model.pretrain(&city.dataset, 1);
+    let live = model.embed_dataset(&city.dataset);
     let frozen = model.freeze().embed_dataset(&city.dataset);
-    assert_bit_identical(&tape, &frozen, "attention config");
+    assert_bit_identical(&live, &frozen, "attention config: freeze()");
+
+    let dir = std::env::temp_dir().join(format!("e2dtc_parity_attn_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("model.json");
+    model.save(&path).expect("save");
+    let loaded = FrozenEncoder::from_checkpoint(&path).expect("from_checkpoint");
+    let restored = loaded.embed_dataset(&city.dataset);
+    assert_bit_identical(&live, &restored, "attention config: checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

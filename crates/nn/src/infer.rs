@@ -3,12 +3,18 @@
 //! Training forwards go through [`crate::tape::Tape`], which interns every
 //! intermediate (and a *clone of every parameter tensor*, once per
 //! [`Tape::clear`](crate::tape::Tape::clear) cycle) so the backward sweep
-//! can revisit them. Serving an embedding needs none of that: no node
-//! bookkeeping, no saved activations, no gradient buffers, and no copy of
-//! the embedding table per batch. This module provides `eval` twins of the
-//! layer forwards that read [`ParamStore`] weights in place and stage every
-//! intermediate in a caller-owned [`Scratch`] pool, so steady-state batched
-//! inference performs zero heap allocation.
+//! can revisit them. A forward that is never differentiated needs none of
+//! that: no node bookkeeping, no saved activations, no gradient buffers,
+//! and no copy of the embedding table per batch. This module provides the
+//! `eval` twins of the encoder's layer forwards — [`Embedding::eval`],
+//! [`GruCell::eval_step`], and the stack-level
+//! [`Gru::eval_step`](crate::layers::Gru::eval_step) /
+//! [`Gru::eval_step_masked`](crate::layers::Gru::eval_step_masked) — that
+//! read [`ParamStore`] weights in place and stage every intermediate in a
+//! caller-owned [`Scratch`] pool, so steady-state batched inference
+//! performs zero heap allocation. The decoder, projection and attention
+//! only ever run under a loss that is backpropagated, so they have no
+//! twins.
 //!
 //! # Bit parity with the tape
 //!
@@ -28,8 +34,9 @@
 //!   polynomials.
 //!
 //! Scalar Rust never contracts `a * b + c` into an FMA, so these sequences
-//! are reproducible element for element; `tests` and the cross-crate parity
-//! suite (`e2dtc/tests/frozen_parity.rs`) pin the outputs down to the bit.
+//! are reproducible element for element; `tests` and the encoder-level
+//! parity tests in `e2dtc`'s `encoder` module pin the outputs down to the
+//! bit.
 //!
 //! # Scratch lifecycle
 //!
@@ -44,9 +51,9 @@
 //! what makes sharing the *model* (`&ParamStore`, read-only) across
 //! threads race-free.
 
-use crate::layers::{DotAttention, Embedding, GruCell, Linear};
+use crate::layers::{Embedding, GruCell};
 use crate::params::ParamStore;
-use crate::tensor::{fast_sigmoid, fast_tanh, softmax_in_place, Tensor};
+use crate::tensor::{fast_sigmoid, fast_tanh, Tensor};
 
 /// Reusable pool of tensor buffers for allocation-free inference.
 #[derive(Debug, Default)]
@@ -98,25 +105,6 @@ impl Embedding {
             out.row_mut(i).copy_from_slice(table.row(idx));
         }
         out
-    }
-}
-
-impl Linear {
-    /// Tape-free twin of [`Linear::forward`] for a `(batch, in)` input.
-    pub fn eval(&self, store: &ParamStore, x: &Tensor, scratch: &mut Scratch) -> Tensor {
-        debug_assert_eq!(x.cols(), self.in_dim(), "linear input width mismatch");
-        let w = store.get(self.weight());
-        let mut y = scratch.take(x.rows(), self.out_dim());
-        x.matmul_acc(w, &mut y);
-        if let Some(b) = self.bias() {
-            let bias = store.get(b);
-            for r in 0..y.rows() {
-                for (d, &bv) in y.row_mut(r).iter_mut().zip(bias.data()) {
-                    *d += bv;
-                }
-            }
-        }
-        y
     }
 }
 
@@ -184,7 +172,7 @@ impl GruCell {
 
 impl crate::layers::Gru {
     /// Tape-free twin of [`Gru::step`](crate::layers::Gru::step): one step
-    /// through the full stack in eval mode (no dropout, no RNG use).
+    /// through the full stack.
     /// `state` holds one `(batch, hidden)` tensor per layer and is updated
     /// in place; displaced state buffers are returned to `scratch`.
     pub fn eval_step(
@@ -196,8 +184,7 @@ impl crate::layers::Gru {
     ) {
         assert_eq!(state.len(), self.layers(), "state/layer count mismatch");
         for (l, cell) in self.cells().iter().enumerate() {
-            // Layer l reads the previous layer's fresh hidden as input
-            // (eval mode applies no dropout and consumes no RNG).
+            // Layer l reads the previous layer's fresh hidden as input.
             let h_new = if l == 0 {
                 cell.eval_step(store, x, &state[0], scratch)
             } else {
@@ -258,75 +245,6 @@ impl crate::layers::Gru {
     }
 }
 
-impl DotAttention {
-    /// Tape-free twin of [`DotAttention::attend`]: attends `query`
-    /// (`(batch, hidden)`) over `T` encoder outputs of the same shape.
-    ///
-    /// # Panics
-    /// Panics on an empty encoder sequence or width mismatch.
-    pub fn eval(
-        &self,
-        store: &ParamStore,
-        query: &Tensor,
-        encoder_outputs: &[Tensor],
-        scratch: &mut Scratch,
-    ) -> Tensor {
-        assert!(!encoder_outputs.is_empty(), "attention needs encoder outputs");
-        assert_eq!(query.cols(), self.hidden(), "query width mismatch");
-        let (batch, hidden) = query.shape();
-        let steps = encoder_outputs.len();
-
-        // Scores: rowwise dot products q·h_enc_t, left-to-right sums to
-        // match the tape's `hadamard` → `row_sum` accumulation order.
-        let mut alpha = scratch.take(batch, steps);
-        for (t, h_enc) in encoder_outputs.iter().enumerate() {
-            for r in 0..batch {
-                let s: f32 =
-                    query.row(r).iter().zip(h_enc.row(r)).map(|(&a, &b)| a * b).sum();
-                alpha.data_mut()[r * steps + t] = s;
-            }
-        }
-        for r in 0..batch {
-            softmax_in_place(alpha.row_mut(r));
-        }
-
-        // Context: Σ_t α_t ⊙ h_enc_t. The tape starts the accumulator at
-        // the t = 0 term (not at zero), so assign first, then add.
-        let mut context = scratch.take(batch, hidden);
-        for (t, h_enc) in encoder_outputs.iter().enumerate() {
-            for r in 0..batch {
-                let a_t = alpha.get(r, t);
-                let dst = context.row_mut(r);
-                if t == 0 {
-                    for (d, &h) in dst.iter_mut().zip(h_enc.row(r)) {
-                        *d = h * a_t;
-                    }
-                } else {
-                    for (d, &h) in dst.iter_mut().zip(h_enc.row(r)) {
-                        *d += h * a_t;
-                    }
-                }
-            }
-        }
-        scratch.put(alpha);
-
-        // h~ = tanh(W_c [context | query])
-        let mut cat = scratch.take(batch, 2 * hidden);
-        for r in 0..batch {
-            let dst = cat.row_mut(r);
-            dst[..hidden].copy_from_slice(context.row(r));
-            dst[hidden..].copy_from_slice(query.row(r));
-        }
-        scratch.put(context);
-        let mut out = self.combine().eval(store, &cat, scratch);
-        scratch.put(cat);
-        for v in out.data_mut() {
-            *v = fast_tanh(*v);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,22 +256,6 @@ mod tests {
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn linear_eval_matches_tape_bitwise() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut store = ParamStore::new();
-        let layer = Linear::new(&mut store, "fc", 5, 3, true, &mut rng);
-        let x = Init::Normal(0.7).tensor(4, 5, &mut rng);
-
-        let mut tape = Tape::new();
-        let xv = tape.constant(x.clone());
-        let y_tape = layer.forward(&mut tape, &store, xv);
-
-        let mut scratch = Scratch::new();
-        let y = layer.eval(&store, &x, &mut scratch);
-        assert_eq!(bits(tape.value(y_tape)), bits(&y));
     }
 
     #[test]
@@ -382,7 +284,7 @@ mod tests {
         let xv = tape.constant(x.clone());
         let mut tape_state = gru.zero_state(&mut tape, 3);
         for _ in 0..4 {
-            gru.step(&mut tape, &store, xv, &mut tape_state, false, &mut rng);
+            gru.step(&mut tape, &store, xv, &mut tape_state);
         }
 
         let mut scratch = Scratch::new();
@@ -411,8 +313,8 @@ mod tests {
         let mut tape = Tape::new();
         let xv = tape.constant(x.clone());
         let mut tape_state = gru.zero_state(&mut tape, 4);
-        gru.step(&mut tape, &store, xv, &mut tape_state, false, &mut rng);
-        gru.step_masked(&mut tape, &store, xv, &mut tape_state, &mask, false, &mut rng);
+        gru.step(&mut tape, &store, xv, &mut tape_state);
+        gru.step_masked(&mut tape, &store, xv, &mut tape_state, &mask);
 
         let mut scratch = Scratch::new();
         let mut state = gru.eval_zero_state(4, &mut scratch);
@@ -421,24 +323,6 @@ mod tests {
         for (l, s) in state.iter().enumerate() {
             assert_eq!(bits(tape.value(tape_state[l])), bits(s), "layer {l}");
         }
-    }
-
-    #[test]
-    fn attention_eval_matches_tape_bitwise() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let mut store = ParamStore::new();
-        let attn = DotAttention::new(&mut store, "attn", 6, &mut rng);
-        let q = Init::Normal(0.5).tensor(3, 6, &mut rng);
-        let enc: Vec<Tensor> = (0..4).map(|_| Init::Normal(0.5).tensor(3, 6, &mut rng)).collect();
-
-        let mut tape = Tape::new();
-        let qv = tape.constant(q.clone());
-        let enc_vars: Vec<_> = enc.iter().map(|e| tape.constant(e.clone())).collect();
-        let y_tape = attn.attend(&mut tape, &store, qv, &enc_vars);
-
-        let mut scratch = Scratch::new();
-        let y = attn.eval(&store, &q, &enc, &mut scratch);
-        assert_eq!(bits(tape.value(y_tape)), bits(&y));
     }
 
     #[test]

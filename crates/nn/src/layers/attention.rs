@@ -31,16 +31,6 @@ impl DotAttention {
         Self { combine, hidden }
     }
 
-    /// Hidden width this attention operates on.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// The `W_c` output projection.
-    pub fn combine(&self) -> &super::Linear {
-        &self.combine
-    }
-
     /// One attention step: attends `query` (`(batch, hidden)`) over the
     /// encoder outputs (`T` tensors of `(batch, hidden)`), returning the
     /// attentional hidden state `h~` of the same shape.

@@ -153,7 +153,6 @@ impl GruCell {
 #[derive(Clone, Debug)]
 pub struct Gru {
     cells: Vec<GruCell>,
-    dropout: f32,
 }
 
 impl Gru {
@@ -174,14 +173,7 @@ impl Gru {
                 GruCell::new(store, &format!("{name}.layer{l}"), in_dim, hidden_dim, rng)
             })
             .collect();
-        Self { cells, dropout: 0.0 }
-    }
-
-    /// Enables inter-layer inverted dropout during training-mode forwards.
-    pub fn with_dropout(mut self, p: f32) -> Self {
-        assert!((0.0..1.0).contains(&p), "dropout probability must be in [0, 1)");
-        self.dropout = p;
-        self
+        Self { cells }
     }
 
     /// Number of stacked layers.
@@ -209,37 +201,13 @@ impl Gru {
 
     /// One step through the full stack. `state` holds one hidden Var per
     /// layer and is updated in place; returns the top layer's new hidden.
-    ///
-    /// When `train` is set and dropout is enabled, inverted dropout is
-    /// applied between layers (never to the recurrent state itself).
-    pub fn step(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        x: Var,
-        state: &mut [Var],
-        train: bool,
-        rng: &mut impl Rng,
-    ) -> Var {
+    pub fn step(&self, tape: &mut Tape, store: &ParamStore, x: Var, state: &mut [Var]) -> Var {
         assert_eq!(state.len(), self.cells.len(), "state/layer count mismatch");
         let mut input = x;
         for (l, cell) in self.cells.iter().enumerate() {
             let h_new = cell.step(tape, store, input, state[l]);
             state[l] = h_new;
             input = h_new;
-            if train && self.dropout > 0.0 && l + 1 < self.cells.len() {
-                let keep = 1.0 - self.dropout;
-                let v = tape.value(input);
-                let (r, c) = v.shape();
-                let mask = Tensor::from_vec(
-                    r,
-                    c,
-                    (0..r * c)
-                        .map(|_| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 })
-                        .collect(),
-                );
-                input = tape.mask_mul(input, mask);
-            }
         }
         input
     }
@@ -249,7 +217,6 @@ impl Gru {
     /// 1.0 for active sequences and all 0.0 for sequences that have already
     /// ended (padding). Ended rows carry their previous hidden state
     /// forward unchanged, so variable-length sequences can share a batch.
-    #[allow(clippy::too_many_arguments)]
     pub fn step_masked(
         &self,
         tape: &mut Tape,
@@ -257,34 +224,16 @@ impl Gru {
         x: Var,
         state: &mut [Var],
         mask: &Tensor,
-        train: bool,
-        rng: &mut impl Rng,
     ) -> Var {
         let old_state: Vec<Var> = state.to_vec();
-        let top = self.step(tape, store, x, state, train, rng);
+        self.step(tape, store, x, state);
         let inv = mask.map(|m| 1.0 - m);
         for (l, old) in old_state.into_iter().enumerate() {
             let kept_new = tape.mask_mul(state[l], mask.clone());
             let kept_old = tape.mask_mul(old, inv.clone());
             state[l] = tape.add(kept_new, kept_old);
         }
-        let _ = top;
         state[self.cells.len() - 1]
-    }
-
-    /// Runs a full sequence of pre-embedded inputs (`seq[t]` is the
-    /// `(batch, input)` Var at time t); returns the top-layer hidden at each
-    /// step and leaves `state` at the final hidden states.
-    pub fn run(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        seq: &[Var],
-        state: &mut [Var],
-        train: bool,
-        rng: &mut impl Rng,
-    ) -> Vec<Var> {
-        seq.iter().map(|&x| self.step(tape, store, x, state, train, rng)).collect()
     }
 }
 
@@ -302,7 +251,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::zeros(3, 4));
         let mut state = gru.zero_state(&mut tape, 3);
-        let h = gru.step(&mut tape, &store, x, &mut state, false, &mut rng);
+        let h = gru.step(&mut tape, &store, x, &mut state);
         assert_eq!(tape.value(h).shape(), (3, 8));
         assert_eq!(state.len(), 2);
     }
@@ -333,7 +282,7 @@ mod tests {
         let mut last = None;
         for t in 0..10 {
             let x = tape.constant(Tensor::full(2, 3, (t as f32).sin() * 3.0));
-            last = Some(gru.step(&mut tape, &store, x, &mut state, false, &mut rng));
+            last = Some(gru.step(&mut tape, &store, x, &mut state));
         }
         let h = tape.value(last.expect("ran steps"));
         assert!(h.data().iter().all(|&v| v.abs() < 1.0));
@@ -349,26 +298,14 @@ mod tests {
             .map(|t| tape.constant(Tensor::full(1, 2, 0.3 * (t as f32 + 1.0))))
             .collect();
         let mut state = gru.zero_state(&mut tape, 1);
-        let outs = gru.run(&mut tape, &store, &seq, &mut state, false, &mut rng);
-        let last = *outs.last().expect("non-empty");
+        let last = seq
+            .iter()
+            .map(|&x| gru.step(&mut tape, &store, x, &mut state))
+            .last()
+            .expect("non-empty");
         let loss = tape.mean_all(last);
         tape.backward(loss, &mut store);
         let total: f32 = store.ids().map(|id| store.grad(id).norm()).sum();
         assert!(total > 0.0, "no gradient reached the GRU parameters");
-    }
-
-    #[test]
-    fn dropout_masks_apply_only_in_train_mode() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut store = ParamStore::new();
-        let gru = Gru::new(&mut store, "gru", 2, 4, 2, &mut rng).with_dropout(0.9);
-        let mut tape = Tape::new();
-        let x = tape.constant(Tensor::full(1, 2, 1.0));
-        // Eval mode: two identical calls produce identical outputs.
-        let mut s1 = gru.zero_state(&mut tape, 1);
-        let h1 = gru.step(&mut tape, &store, x, &mut s1, false, &mut rng);
-        let mut s2 = gru.zero_state(&mut tape, 1);
-        let h2 = gru.step(&mut tape, &store, x, &mut s2, false, &mut rng);
-        assert_eq!(tape.value(h1).data(), tape.value(h2).data());
     }
 }

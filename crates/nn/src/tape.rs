@@ -49,7 +49,7 @@ enum Op {
     MeanAll(Var),
     /// sum over all elements, producing `(1, 1)`
     SumAll(Var),
-    /// element-wise product with a fixed mask (dropout: mask already scaled)
+    /// element-wise product with a fixed mask
     MaskMul { a: Var, mask: Tensor },
     /// row-wise sum: `(r, c) -> (r, 1)`
     RowSum(Var),
@@ -226,8 +226,6 @@ impl Tape {
     }
 
     /// Element-wise multiply by a fixed (non-differentiable) mask.
-    ///
-    /// For inverted dropout pass a 0/`1/keep_prob` mask.
     pub fn mask_mul(&mut self, a: Var, mask: Tensor) -> Var {
         let value = self.value(a).hadamard(&mask);
         self.push(value, Op::MaskMul { a, mask })

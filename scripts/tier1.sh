@@ -12,8 +12,12 @@
 #            GRU, projected distance, knn pruning, frozen query engine),
 #            and the references stay compilable and panic-free without
 #            paying for a full measurement run
+#   e2e    — the end-to-end benchmark's tiny-scale self-test; e2ebench/
+#            is its own package outside the workspace, so this is what
+#            catches an API change that breaks it
 #   smoke  — the CLI serve path end-to-end on a tiny synthetic city:
-#            generate → train → embed (frozen encoder from checkpoint)
+#            generate → train → embed and assign (both through the frozen
+#            encoder from the checkpoint), whose labels must agree
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +29,7 @@ cargo test -q -p e2dtc --features fault-injection --test fault_injection
 cargo bench -p e2dtc-bench --bench bench_nn -- --test
 cargo bench -p e2dtc-bench --bench bench_dist -- --test
 cargo bench -p e2dtc-bench --bench bench_query -- --test
+cargo test -q --release --manifest-path e2ebench/Cargo.toml
 
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -34,5 +39,11 @@ trap 'rm -rf "$smoke_dir"' EXIT
 ./target/release/e2dtc embed --model "$smoke_dir/model.json" --data "$smoke_dir/data.json" \
     --out "$smoke_dir/emb.json" --quiet
 grep -q '"embeddings"' "$smoke_dir/emb.json"
+./target/release/e2dtc assign --model "$smoke_dir/model.json" --data "$smoke_dir/data.json" \
+    --out "$smoke_dir/assign.json" --quiet
+if [ "$(jq -c .assignments "$smoke_dir/emb.json")" != "$(jq -c . "$smoke_dir/assign.json")" ]; then
+    echo "tier1: assign labels differ from the assignments embed wrote" >&2
+    exit 1
+fi
 
 echo "tier1: OK"

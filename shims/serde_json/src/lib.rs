@@ -344,13 +344,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Copy a full UTF-8 scalar (input is a valid &str).
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash. Both are ASCII, so the run never splits a
+                    // UTF-8 scalar, and each byte is validated once.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let run =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let s = std::str::from_utf8(&rest[..run])
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -457,6 +460,9 @@ mod tests {
     fn unicode_escapes_parse() {
         let s: String = from_str(r#""A😀""#).unwrap();
         assert_eq!(s, "A\u{1F600}");
+        let s: String = from_str(r#""é\n中\"😀\u00e9x""#).unwrap();
+        assert_eq!(s, "é\n中\"😀éx");
+        assert!(from_str::<String>("\"中文").is_err(), "unterminated string");
     }
 
     #[test]
