@@ -188,6 +188,9 @@ fn train(flags: &HashMap<String, String>) -> Result<(), String> {
     let k: usize = flags
         .get("k")
         .map_or(Ok(data.num_clusters), |v| v.parse().map_err(|e| format!("{e}")))?;
+    if k == 0 || k > data.len() {
+        return Err(format!("--k {k} out of range: need 1 <= k <= {} trajectories", data.len()));
+    }
     let seed: u64 = flags.get("seed").map_or(Ok(0), |v| v.parse().map_err(|e| format!("{e}")))?;
     let mut cfg = match flags.get("preset").map(String::as_str) {
         Some("paper") => E2dtcConfig::paper(k),

@@ -105,31 +105,24 @@ pub struct E2dtcConfig {
     pub loss_mode: LossMode,
     /// Adds Luong dot-product attention to the decoder (extension beyond
     /// the paper; see `traj_nn::layers::DotAttention`).
-    #[serde(default)]
     pub attention: bool,
     /// Write a training checkpoint every this many completed epochs
     /// (counting across both phases); `0` disables periodic
     /// checkpointing. Requires [`E2dtcConfig::checkpoint_dir`].
-    #[serde(default)]
     pub checkpoint_every: usize,
     /// Directory that receives `ckpt-<epoch>.json` training checkpoints;
     /// `None` disables periodic checkpointing.
-    #[serde(default)]
     pub checkpoint_dir: Option<String>,
     /// Keep only the newest N periodic checkpoints (`0` = keep all).
     /// Keeping at least 2 lets `E2dtc::resume` fall back to the previous
     /// snapshot when the newest file is torn by a crash mid-write.
-    #[serde(default)]
     pub checkpoint_keep_last: usize,
     /// Consecutive non-finite (NaN/Inf) batches tolerated before training
     /// rolls back to the start-of-epoch parameter snapshot with a
     /// learning-rate backoff; `0` disables rollback (poisoned updates are
-    /// still skipped). Old checkpoints deserialize to `0`.
-    #[serde(default)]
+    /// still skipped).
     pub guard_patience: usize,
-    /// Multiplier applied to the learning rate on each guard rollback
-    /// (`0` falls back to `0.5`, so old checkpoints stay sane).
-    #[serde(default)]
+    /// Multiplier applied to the learning rate on each guard rollback.
     pub guard_lr_backoff: f32,
     /// Master RNG seed.
     pub seed: u64,
@@ -245,16 +238,6 @@ impl E2dtcConfig {
         self.checkpoint_dir = Some(dir.into());
         self.checkpoint_every = every.max(1);
         self
-    }
-
-    /// Rollback learning-rate backoff with the zero-value fallback applied
-    /// (configs deserialized from pre-v3 checkpoints carry `0.0`).
-    pub fn effective_lr_backoff(&self) -> f32 {
-        if self.guard_lr_backoff > 0.0 {
-            self.guard_lr_backoff
-        } else {
-            0.5
-        }
     }
 }
 

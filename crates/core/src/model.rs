@@ -9,7 +9,10 @@
 //! - [`crate::encoder`] — the tape-free inference forward and the
 //!   [`FrozenEncoder`] produced by [`E2dtc::freeze`];
 //! - [`crate::batcher`] — length-bucketed batching shared by both;
-//! - [`crate::persist`] — checkpoint save/load/resume.
+//! - [`crate::persist`] — the on-disk format: [`E2dtc::save`] for
+//!   serving, [`E2dtc::save_checkpoint`] / [`E2dtc::resume`] for
+//!   training, and [`FrozenEncoder::from_checkpoint`] to load a model
+//!   for inference.
 //!
 //! Inference entry points ([`E2dtc::embed_dataset`],
 //! [`E2dtc::soft_assignment`], [`E2dtc::assign`], [`E2dtc::freeze`]) take
@@ -148,12 +151,6 @@ impl E2dtc {
     /// Number of trainable scalars.
     pub fn num_parameters(&self) -> usize {
         self.store.num_scalars()
-    }
-
-    /// True when a resumed training cursor is waiting for the next
-    /// [`E2dtc::fit`] call.
-    pub fn has_pending_training(&self) -> bool {
-        self.pending.is_some()
     }
 
     /// The resumed training cursor, if one is pending.

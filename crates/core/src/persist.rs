@@ -1,41 +1,34 @@
 //! Model persistence: train once, serve clustering requests forever —
 //! and survive dying in the middle of the training investment.
 //!
-//! The paper's efficiency story (Fig. 3) rests on training offline and
-//! serving requests with the frozen model. This module serializes
-//! everything inference needs — configuration, grid, vocabulary, spatial
-//! weight table, all network parameters, and optimizer state — plus,
-//! for training checkpoints, the [`TrainingState`] cursor that lets
-//! [`E2dtc::resume`] continue an interrupted `fit` exactly.
+//! This is the only module that knows the on-disk format, and a file
+//! holds only what its reader uses. Every file carries configuration,
+//! grid, vocabulary, spatial weight table and parameter values — never
+//! gradients. A training checkpoint ([`E2dtc::save_checkpoint`]) adds the
+//! Adam moments and the [`TrainingState`] cursor; a plain save
+//! ([`E2dtc::save`]) writes both as `null`. [`FrozenEncoder::from_checkpoint`]
+//! loads either for inference; [`E2dtc::resume`] continues training
+//! from a checkpoint.
 //!
-//! ## Checkpoint format v3 (DESIGN.md §10)
-//!
-//! A v3 file is a one-line ASCII header followed by a JSON payload:
+//! ## Checkpoint format v4 (DESIGN.md §10)
 //!
 //! ```text
-//! E2DTC-CKPT v3 fnv1a64=<16 hex digits> len=<payload bytes>\n
+//! E2DTC-CKPT v4 fnv1a64=<16 hex digits> len=<payload bytes>\n
 //! { ...SavedModel JSON... }
 //! ```
 //!
-//! The header carries an FNV-1a 64 checksum and the byte length of the
-//! payload, so torn writes and bit rot are detected before JSON parsing
-//! ever runs. Files are written atomically: full payload to a `.tmp`
-//! sibling, `fsync`, then `rename` over the final path — a crash at any
-//! point leaves either the old file or the new file, never a hybrid.
+//! The header's FNV-1a 64 checksum and payload length catch torn writes
+//! and bit rot before JSON parsing runs. Writes are atomic: payload to a
+//! `.tmp` sibling, `fsync`, then `rename` over the final path.
 //!
-//! Legacy v1/v2 files carry no header (they start with `{`) and are
-//! still loaded, including the v1→v2 fused-GRU migration.
-//!
-//! Loading validates, in order: header + checksum, format version,
-//! parameter count, each parameter's registration name and tensor shape
+//! v3 files still load (their `store.grads` is ignored, as are the Adam
+//! moments of a v3 plain save when serving); a file without the header
+//! or with an older version is a typed error. Loading then validates
+//! the parameter count, each parameter's registration name and shape
 //! against a freshly-built architecture, and the finiteness of every
-//! weight. Each failure mode is a distinct [`PersistError`] variant.
-//!
-//! Reconstruction relies on parameter registration being deterministic:
-//! [`crate::seq2seq::Seq2Seq::new`] always registers the same tensors in
-//! the same order for a given architecture, so the saved [`ParamStore`]
-//! slots match a freshly-built model's `ParamId`s exactly (a unit test
-//! pins this invariant).
+//! weight. That relies on [`crate::seq2seq::Seq2Seq::new`] registering
+//! the same tensors in the same order for a given architecture (a unit
+//! test pins this invariant).
 
 use crate::config::E2dtcConfig;
 use crate::encoder::FrozenEncoder;
@@ -55,7 +48,7 @@ use traj_data::Grid;
 use traj_nn::optim::Adam;
 use traj_nn::{ParamId, ParamStore, Tensor};
 
-/// Magic prefix of a v3 (header + checksum) checkpoint file.
+/// Magic prefix of every checkpoint file.
 const MAGIC: &str = "E2DTC-CKPT";
 
 /// Everything that can go wrong saving or loading a model/checkpoint.
@@ -65,8 +58,8 @@ pub enum PersistError {
     Io(io::Error),
     /// The JSON payload does not parse or does not match the schema.
     Json(String),
-    /// The `E2DTC-CKPT` header line is malformed or lies about the
-    /// payload length (e.g. a truncated file).
+    /// The `E2DTC-CKPT` header line is missing or malformed, or lies
+    /// about the payload length (e.g. a truncated file).
     BadHeader(String),
     /// The payload does not hash to the checksum in the header.
     ChecksumMismatch {
@@ -75,7 +68,7 @@ pub enum PersistError {
         /// Checksum of the payload actually on disk.
         actual: u64,
     },
-    /// The file's `format_version` is newer than this build understands.
+    /// The file's format version is not one this build reads (v3 or v4).
     UnsupportedVersion(u32),
     /// The saved parameter count does not match the architecture the
     /// saved configuration describes.
@@ -97,12 +90,10 @@ pub enum PersistError {
     },
     /// A saved parameter holds NaN or infinity.
     NonFiniteParam(String),
-    /// A v1 checkpoint's per-gate GRU cell is truncated or misordered.
-    BadGruCell(String),
     /// The checkpoint's serialized RNG state has the wrong word count.
     BadRngState(usize),
-    /// [`E2dtc::resume`] needs a training cursor, but the file is a plain
-    /// model save (or predates format v3).
+    /// [`E2dtc::resume`] needs a training cursor and optimizer state, but
+    /// the file is a plain model save.
     NotATrainingCheckpoint,
     /// A checkpoint directory holds no usable checkpoint.
     NoCheckpointFound(PathBuf),
@@ -134,13 +125,12 @@ impl fmt::Display for PersistError {
             PersistError::NonFiniteParam(name) => {
                 write!(f, "parameter `{name}` holds NaN/Inf values")
             }
-            PersistError::BadGruCell(e) => write!(f, "v1 GRU migration failed: {e}"),
             PersistError::BadRngState(n) => {
                 write!(f, "serialized RNG state has {n} words (expected 4)")
             }
             PersistError::NotATrainingCheckpoint => {
                 write!(f, "file carries no training state (plain model save?); \
-                       use E2dtc::load for inference")
+                       serve it with FrozenEncoder::from_checkpoint or `e2dtc embed`")
             }
             PersistError::NoCheckpointFound(dir) => {
                 write!(f, "no usable checkpoint found in {}", dir.display())
@@ -167,31 +157,35 @@ impl From<io::Error> for PersistError {
 /// On-disk representation of a trained model / training checkpoint.
 #[derive(Serialize, Deserialize)]
 struct SavedModel {
+    /// Mirrors the header's version, which is what loading checks.
     format_version: u32,
     config: E2dtcConfig,
     grid: Grid,
     vocab: Vocab,
     weights: WeightTable,
-    store: ParamStore,
+    store: SavedParams,
     /// Whether the store's final parameter is the centroid matrix.
     has_centroids: bool,
-    opt: Adam,
-    /// Mid-training cursor; `None` for plain model saves and all pre-v3
-    /// files.
-    #[serde(default)]
+    /// Adam moments; `None` for plain model saves.
+    opt: Option<Adam>,
+    /// Mid-training cursor; `None` for plain model saves.
     training: Option<TrainingState>,
 }
 
-/// Version 3 adds the checksummed header, the optional [`TrainingState`]
-/// cursor, and load-time shape/finiteness validation. Version 2 fused
-/// each GRU cell's ten per-gate tensors into four (`w_x`, `w_h`, `b_x`,
-/// `b_h`); version-1 checkpoints are migrated on load by
-/// [`migrate_v1_store`].
-const FORMAT_VERSION: u32 = 3;
+/// Parameter values and registration names, in registration order. A
+/// v3 `store` object also carries a `grads` array, which deserialization
+/// ignores.
+#[derive(Serialize, Deserialize)]
+struct SavedParams {
+    params: Vec<Tensor>,
+    names: Vec<String>,
+}
 
-/// v1 per-cell parameter suffixes, in their registration order.
-const V1_GRU_SUFFIXES: [&str; 10] =
-    [".w_xr", ".w_hr", ".w_xz", ".w_hz", ".w_xn", ".w_hn", ".b_r", ".b_z", ".b_xn", ".b_hn"];
+/// Version 4 drops gradient buffers from every file and optimizer state
+/// from plain saves. Version 3 added the checksummed header, the
+/// optional [`TrainingState`] cursor, and load-time validation; it is
+/// the oldest version still read.
+const FORMAT_VERSION: u32 = 4;
 
 /// FNV-1a 64-bit hash — tiny, dependency-free, and plenty to catch torn
 /// writes and bit rot (this is integrity checking, not cryptography).
@@ -237,7 +231,7 @@ pub fn rotate_checkpoints(dir: &Path, keep: usize) -> io::Result<()> {
     Ok(())
 }
 
-/// Serializes to the v3 on-disk form: checksummed header + JSON payload.
+/// Serializes to the on-disk form: checksummed header + JSON payload.
 fn encode(saved: &SavedModel) -> Result<Vec<u8>, PersistError> {
     let payload = serde_json::to_string(saved).map_err(|e| PersistError::Json(e.to_string()))?;
     let payload = payload.into_bytes();
@@ -250,11 +244,11 @@ fn encode(saved: &SavedModel) -> Result<Vec<u8>, PersistError> {
 }
 
 /// Validates the header + checksum of raw file bytes and returns the JSON
-/// payload. Bytes not starting with [`MAGIC`] are legacy v1/v2 raw JSON
-/// and are returned unchanged.
+/// payload. A file without the [`MAGIC`] header is rejected before any
+/// JSON parsing.
 fn verify_and_strip_header(bytes: &[u8]) -> Result<&[u8], PersistError> {
     if !bytes.starts_with(MAGIC.as_bytes()) {
-        return Ok(bytes); // legacy v1/v2: raw JSON, no header
+        return Err(PersistError::BadHeader(format!("missing `{MAGIC}` header")));
     }
     let newline = bytes
         .iter()
@@ -271,7 +265,7 @@ fn verify_and_strip_header(bytes: &[u8]) -> Result<&[u8], PersistError> {
         .and_then(|v| v.strip_prefix('v'))
         .and_then(|v| v.parse::<u32>().ok())
         .ok_or_else(|| PersistError::BadHeader(format!("unparseable version in `{header}`")))?;
-    if version > FORMAT_VERSION {
+    if !(3..=FORMAT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion(version));
     }
     let checksum = fields
@@ -323,53 +317,6 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Rebuilds a fused (v2) parameter store from a v1 store holding ten
-/// per-gate tensors per GRU cell.
-///
-/// The fused layout concatenates gate columns as `[r | z | n]`:
-/// `w_x = [W_xr | W_xz | W_xn]`, `w_h = [W_hr | W_hz | W_hn]`,
-/// `b_x = [b_r | b_z | b_xn]`, and `b_h = [0 | 0 | b_hn]` (v1 had no
-/// recurrent bias on the r/z gates, which the fused form encodes as zero
-/// blocks). Non-GRU parameters are copied through unchanged, preserving
-/// relative order.
-fn migrate_v1_store(old: &ParamStore) -> Result<ParamStore, PersistError> {
-    let mut fused = ParamStore::new();
-    let ids: Vec<ParamId> = old.ids().collect();
-    let mut i = 0;
-    while i < ids.len() {
-        let name = old.name(ids[i]).to_string();
-        if let Some(prefix) = name.strip_suffix(".w_xr") {
-            let mut gates = Vec::with_capacity(V1_GRU_SUFFIXES.len());
-            for (j, suffix) in V1_GRU_SUFFIXES.iter().enumerate() {
-                let id = ids.get(i + j).copied().ok_or_else(|| {
-                    PersistError::BadGruCell(format!("v1 GRU cell `{prefix}` is truncated"))
-                })?;
-                let got = old.name(id);
-                if got != format!("{prefix}{suffix}") {
-                    return Err(PersistError::BadGruCell(format!(
-                        "v1 GRU cell `{prefix}`: expected `{prefix}{suffix}`, found `{got}`"
-                    )));
-                }
-                gates.push(old.get(id));
-            }
-            let w_x = gates[0].concat_cols(gates[2]).concat_cols(gates[4]);
-            let w_h = gates[1].concat_cols(gates[3]).concat_cols(gates[5]);
-            let b_x = gates[6].concat_cols(gates[7]).concat_cols(gates[8]);
-            let b_hn = gates[9];
-            let b_h = Tensor::zeros(1, 2 * b_hn.cols()).concat_cols(b_hn);
-            fused.add(format!("{prefix}.w_x"), w_x);
-            fused.add(format!("{prefix}.w_h"), w_h);
-            fused.add(format!("{prefix}.b_x"), b_x);
-            fused.add(format!("{prefix}.b_h"), b_h);
-            i += V1_GRU_SUFFIXES.len();
-        } else {
-            fused.add(name, old.get(ids[i]).clone());
-            i += 1;
-        }
-    }
-    Ok(fused)
-}
-
 /// Fully-validated checkpoint contents, ready to assemble into either a
 /// trainable [`E2dtc`] or an inference-only [`FrozenEncoder`].
 struct LoadedParts {
@@ -380,13 +327,12 @@ struct LoadedParts {
     store: ParamStore,
     model: Seq2Seq,
     centroids: Option<ParamId>,
-    opt: Adam,
+    opt: Option<Adam>,
     training: Option<TrainingState>,
 }
 
-/// Reads, verifies, migrates (v1 → fused), and validates a checkpoint
-/// file — the shared loading path behind [`E2dtc::load`] and
-/// [`FrozenEncoder::from_checkpoint`].
+/// Reads, verifies, and validates a checkpoint file — the shared loading
+/// path behind [`FrozenEncoder::from_checkpoint`] and [`E2dtc::resume`].
 fn load_parts(path: &Path) -> Result<LoadedParts, PersistError> {
     let bytes = std::fs::read(path)?;
     let payload = verify_and_strip_header(&bytes)?;
@@ -395,73 +341,55 @@ fn load_parts(path: &Path) -> Result<LoadedParts, PersistError> {
     let saved: SavedModel =
         serde_json::from_str(payload).map_err(|e| PersistError::Json(e.to_string()))?;
 
-    let (store, opt) = match saved.format_version {
-        2 | 3 => (saved.store, saved.opt),
-        1 => {
-            // Pre-fusion checkpoint: fuse the per-gate GRU tensors.
-            // The parameter layout changes, so Adam's per-slot moment
-            // buffers no longer line up; restart the optimizer state
-            // (weights are preserved exactly, only momentum is lost).
-            let store = migrate_v1_store(&saved.store)?;
-            let opt = Adam::new(saved.config.lr).with_max_grad_norm(saved.config.max_grad_norm);
-            (store, opt)
-        }
-        v => return Err(PersistError::UnsupportedVersion(v)),
-    };
-
-    // Rebuild the architecture in a scratch store: parameter ids are
-    // assigned in deterministic registration order, so the layer
-    // handles line up with the saved store's slots — and the scratch
-    // names/shapes are the authority the file is validated against.
-    let mut scratch = ParamStore::new();
+    // Rebuild the architecture in a fresh store: parameter ids are
+    // assigned in deterministic registration order, so the layer handles
+    // line up with the saved tensors — and the fresh names/shapes are the
+    // authority the file is validated against. Each saved tensor then
+    // replaces its freshly-initialized slot; gradient buffers come from
+    // construction.
+    let mut store = ParamStore::new();
     let mut rng = StdRng::seed_from_u64(saved.config.seed);
     let placeholder = Tensor::zeros(saved.vocab.size(), saved.config.embed_dim);
     let model = Seq2Seq::with_options(
-        &mut scratch,
+        &mut store,
         placeholder,
         saved.config.hidden_dim,
         saved.config.layers,
         saved.config.attention,
         &mut rng,
     );
-    let expected = scratch.len() + usize::from(saved.has_centroids);
-    if store.len() != expected {
-        return Err(PersistError::ParamCountMismatch { saved: store.len(), expected });
+    let SavedParams { params, names } = saved.store;
+    let expected = store.len() + usize::from(saved.has_centroids);
+    if params.len() != expected || names.len() != expected {
+        return Err(PersistError::ParamCountMismatch { saved: params.len(), expected });
     }
-    for (slot, id) in scratch.ids().enumerate() {
-        let saved_id = store.ids().nth(slot).expect("count checked above");
-        let (name, want) = (scratch.name(id), scratch.get(id).shape());
-        let got = store.get(saved_id).shape();
-        if store.name(saved_id) != name || got != want {
-            return Err(PersistError::ShapeMismatch {
-                name: name.to_string(),
-                saved: got,
-                expected: want,
-            });
-        }
-    }
-    if saved.has_centroids {
-        let id = store.ids().last().expect("store non-empty");
-        let got = store.get(id).shape();
-        let want = (saved.config.k_clusters, saved.config.hidden_dim);
-        if got != want {
+    let mut saved_params = names.into_iter().zip(params);
+    for (id, (name, tensor)) in store.ids().zip(&mut saved_params) {
+        let want = store.get(id).shape();
+        if name != store.name(id) || tensor.shape() != want {
             return Err(PersistError::ShapeMismatch {
                 name: store.name(id).to_string(),
-                saved: got,
+                saved: tensor.shape(),
                 expected: want,
             });
         }
+        *store.get_mut(id) = tensor;
     }
+    let centroids = match saved_params.next() {
+        Some((name, tensor)) => {
+            let want = (saved.config.k_clusters, saved.config.hidden_dim);
+            if tensor.shape() != want {
+                let saved = tensor.shape();
+                return Err(PersistError::ShapeMismatch { name, saved, expected: want });
+            }
+            Some(store.add(name, tensor))
+        }
+        None => None,
+    };
     if let Some(name) = store.first_non_finite_param() {
         return Err(PersistError::NonFiniteParam(name.to_string()));
     }
-    if let Some(st) = &saved.training {
-        if st.rng.len() != 4 {
-            return Err(PersistError::BadRngState(st.rng.len()));
-        }
-    }
 
-    let centroids = saved.has_centroids.then(|| store.ids().last().expect("store non-empty"));
     Ok(LoadedParts {
         cfg: saved.config,
         grid: saved.grid,
@@ -470,17 +398,17 @@ fn load_parts(path: &Path) -> Result<LoadedParts, PersistError> {
         store,
         model,
         centroids,
-        opt,
+        opt: saved.opt,
         training: saved.training,
     })
 }
 
 impl FrozenEncoder {
-    /// Loads an inference-only encoder straight from a checkpoint file
-    /// (any format version; v1 stores are migrated). Optimizer state, the
-    /// spatial weight table, and any training cursor in the file are
-    /// dropped — nothing a query path needs is kept mutable, so the
-    /// result is `Send + Sync` without further ceremony.
+    /// Loads an inference-only encoder from a model save or a training
+    /// checkpoint (format v3 or v4). Optimizer state, the spatial weight
+    /// table, and any training cursor in the file are dropped — nothing a
+    /// query path needs is kept mutable, so the result is `Send + Sync`
+    /// without further ceremony.
     pub fn from_checkpoint(path: impl AsRef<Path>) -> Result<FrozenEncoder, PersistError> {
         let parts = load_parts(path.as_ref())?;
         let centroids = parts.centroids.map(|id| parts.store.get(id).clone());
@@ -496,17 +424,18 @@ impl FrozenEncoder {
 }
 
 impl E2dtc {
-    /// Serializes the trained model (no training cursor) in format v3:
-    /// checksummed header + JSON payload, written atomically.
+    /// Serializes the trained model for serving: parameter values only,
+    /// no optimizer state and no training cursor. Checksummed header +
+    /// JSON payload, written atomically.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
         let saved = self.to_saved(None);
         write_atomic(path.as_ref(), &encode(&saved)?)?;
         Ok(())
     }
 
-    /// Writes a training checkpoint: the full model plus the mid-training
-    /// cursor `st`, so [`E2dtc::resume`] can continue the run. Atomic and
-    /// checksummed like [`E2dtc::save`].
+    /// Writes a training checkpoint: the model plus the Adam moments and
+    /// the mid-training cursor `st`, so [`E2dtc::resume`] can continue the
+    /// run. Atomic and checksummed like [`E2dtc::save`].
     pub fn save_checkpoint(
         &mut self,
         path: impl AsRef<Path>,
@@ -542,6 +471,8 @@ impl E2dtc {
         Ok(())
     }
 
+    /// The on-disk form; optimizer state rides along only with a
+    /// training cursor.
     fn to_saved(&self, training: Option<TrainingState>) -> SavedModel {
         SavedModel {
             format_version: FORMAT_VERSION,
@@ -549,44 +480,14 @@ impl E2dtc {
             grid: self.grid.clone(),
             vocab: self.vocab.clone(),
             weights: self.weights.clone(),
-            store: self.store.clone(),
+            store: SavedParams {
+                params: self.store.ids().map(|id| self.store.get(id).clone()).collect(),
+                names: self.store.ids().map(|id| self.store.name(id).to_string()).collect(),
+            },
             has_centroids: self.centroids.is_some(),
-            opt: self.opt.clone(),
+            opt: training.is_some().then(|| self.opt.clone()),
             training,
         }
-    }
-
-    /// Loads a model saved with [`E2dtc::save`] or [`E2dtc::save_checkpoint`]
-    /// (any format version; v1 stores are migrated).
-    ///
-    /// The loaded model is immediately usable for inference
-    /// ([`E2dtc::embed_dataset`], [`E2dtc::assign`]) and for continued
-    /// training (`fit` re-tokenizes its dataset on demand; a checkpoint's
-    /// training cursor, if present, makes `fit` continue the interrupted
-    /// run).
-    pub fn load(path: impl AsRef<Path>) -> Result<E2dtc, PersistError> {
-        let parts = load_parts(path.as_ref())?;
-        Ok(E2dtc {
-            rng: match &parts.training {
-                // `fit` re-restores from the cursor; seeding here keeps
-                // inference on a freshly-loaded checkpoint deterministic.
-                Some(st) => StdRng::restore(rng_state_from(&st.rng)),
-                None => StdRng::seed_from_u64(parts.cfg.seed ^ 0x6c6f6164),
-            },
-            pending: parts.training,
-            recorder: traj_obs::global(),
-            cfg: parts.cfg,
-            grid: parts.grid,
-            vocab: parts.vocab,
-            weights: parts.weights,
-            store: parts.store,
-            model: parts.model,
-            centroids: parts.centroids,
-            opt: parts.opt,
-            sequences: Vec::new(),
-            #[cfg(feature = "fault-injection")]
-            fault: None,
-        })
     }
 
     /// Resumes an interrupted training run from a checkpoint file, or
@@ -622,16 +523,29 @@ impl E2dtc {
     }
 
     fn resume_file(path: &Path) -> Result<E2dtc, PersistError> {
-        let model = Self::load(path)?;
-        if !model.has_pending_training() {
+        let parts = load_parts(path)?;
+        let (Some(st), Some(opt)) = (parts.training, parts.opt) else {
             return Err(PersistError::NotATrainingCheckpoint);
+        };
+        if st.rng.len() != 4 {
+            return Err(PersistError::BadRngState(st.rng.len()));
         }
-        Ok(model)
-    }
-
-    /// Handle of the centroid parameter, if self-training has run.
-    pub fn centroids_param(&self) -> Option<ParamId> {
-        self.centroids
+        Ok(E2dtc {
+            rng: StdRng::restore(rng_state_from(&st.rng)),
+            pending: Some(st),
+            recorder: traj_obs::global(),
+            cfg: parts.cfg,
+            grid: parts.grid,
+            vocab: parts.vocab,
+            weights: parts.weights,
+            store: parts.store,
+            model: parts.model,
+            centroids: parts.centroids,
+            opt,
+            sequences: Vec::new(),
+            #[cfg(feature = "fault-injection")]
+            fault: None,
+        })
     }
 }
 
@@ -640,17 +554,14 @@ mod tests {
     use super::*;
     use crate::config::E2dtcConfig;
     use crate::model::Phase;
-    use traj_data::SynthSpec;
+    use crate::test_util::tiny_city;
+    use serde::Value;
 
     fn trained_model() -> (E2dtc, traj_data::Dataset) {
-        let mut spec = SynthSpec::hangzhou_like(40, 77);
-        spec.num_clusters = 3;
-        spec.len_range = (10, 18);
-        spec.outlier_fraction = 0.0;
-        let city = spec.generate();
-        let mut model = E2dtc::new(&city.dataset, E2dtcConfig::tiny(3));
-        let _ = model.fit(&city.dataset);
-        (model, city.dataset)
+        let dataset = tiny_city(40, 3).dataset;
+        let mut model = E2dtc::new(&dataset, E2dtcConfig::tiny(3));
+        let _ = model.fit(&dataset);
+        (model, dataset)
     }
 
     fn test_dir(name: &str) -> PathBuf {
@@ -660,7 +571,7 @@ mod tests {
         dir
     }
 
-    fn expect_err(r: Result<E2dtc, PersistError>) -> PersistError {
+    fn expect_err<T>(r: Result<T, PersistError>) -> PersistError {
         match r {
             Ok(_) => panic!("expected load/resume to fail"),
             Err(e) => e,
@@ -678,6 +589,44 @@ mod tests {
         }
     }
 
+    /// The JSON payload of a checkpoint file, as a raw value tree.
+    fn payload_value(path: &Path) -> Value {
+        let bytes = std::fs::read(path).expect("read");
+        let payload = verify_and_strip_header(&bytes).expect("valid header");
+        serde_json::parse_value_str(std::str::from_utf8(payload).expect("utf8")).expect("json")
+    }
+
+    /// Writes `payload` under a header claiming format `version`.
+    fn write_framed(path: &Path, version: u32, payload: &str) {
+        let hash = fnv1a64(payload.as_bytes());
+        let header = format!("{MAGIC} v{version} fnv1a64={hash:016x} len={}\n", payload.len());
+        std::fs::write(path, header + payload).expect("write");
+    }
+
+    /// Rewrites a v4 file in the layout v3 writers produced: zero
+    /// `store.grads`, Adam moments even in plain saves (`opt` fills a
+    /// `null`), `format_version: 3`, and a `v3` header.
+    fn rewrite_as_v3(path: &Path, opt: &Adam) {
+        let Value::Object(mut fields) = payload_value(path) else { panic!("payload is an object") };
+        for (key, value) in &mut fields {
+            match key.as_str() {
+                "format_version" => *value = Value::UInt(3),
+                "opt" if *value == Value::Null => *value = opt.to_value(),
+                "store" => {
+                    let Value::Object(store) = value else { panic!("store is an object") };
+                    let params: Vec<Tensor> =
+                        Deserialize::from_value(&store[0].1).expect("store.params");
+                    let grads: Vec<Tensor> =
+                        params.iter().map(|t| Tensor::zeros(t.rows(), t.cols())).collect();
+                    store.insert(1, ("grads".to_string(), grads.to_value()));
+                }
+                _ => {}
+            }
+        }
+        let payload = serde_json::to_string(&Value::Object(fields)).expect("json");
+        write_framed(path, 3, &payload);
+    }
+
     #[test]
     fn save_load_roundtrip_preserves_inference() {
         let (model, dataset) = trained_model();
@@ -685,16 +634,14 @@ mod tests {
         let path = dir.join("model.json");
         model.save(&path).expect("save");
 
-        let loaded = E2dtc::load(&path).expect("load");
-        let orig_emb = model.embed_dataset(&dataset);
-        let loaded_emb = loaded.embed_dataset(&dataset);
-        assert_eq!(orig_emb, loaded_emb, "embeddings diverge after reload");
-        assert_eq!(model.assign(&dataset), loaded.assign(&dataset));
-        assert!(!loaded.has_pending_training(), "plain save must carry no cursor");
+        let frozen = FrozenEncoder::from_checkpoint(&path).expect("load");
+        let emb = frozen.embed_dataset(&dataset);
+        assert_eq!(model.embed_dataset(&dataset), emb, "embeddings diverge after reload");
+        assert_eq!(model.assign(&dataset), frozen.hard_assign(&emb));
     }
 
     #[test]
-    fn v3_file_has_header_and_checksum() {
+    fn file_has_v4_header_and_checksum() {
         let (model, _) = trained_model();
         let dir = test_dir("header");
         let path = dir.join("model.json");
@@ -702,11 +649,90 @@ mod tests {
         let bytes = std::fs::read(&path).expect("read");
         let header_end = bytes.iter().position(|&b| b == b'\n').expect("newline");
         let header = std::str::from_utf8(&bytes[..header_end]).expect("utf8");
-        assert!(header.starts_with("E2DTC-CKPT v3 fnv1a64="), "header: {header}");
+        assert!(header.starts_with("E2DTC-CKPT v4 fnv1a64="), "header: {header}");
         assert_eq!(fnv1a64(&bytes[header_end + 1..]), {
             let hex = header.split("fnv1a64=").nth(1).unwrap().split(' ').next().unwrap();
             u64::from_str_radix(hex, 16).unwrap()
         });
+    }
+
+    #[test]
+    fn plain_save_has_no_grads_or_optimizer_but_checkpoint_has_optimizer() {
+        let (mut model, _) = trained_model();
+        let dir = test_dir("layout");
+        let plain = dir.join("model.json");
+        model.save(&plain).expect("save");
+        let v = payload_value(&plain);
+        let store = v.get_field("store").expect("store");
+        assert!(store.get_field("params").is_some());
+        assert!(store.get_field("grads").is_none(), "gradients are never written");
+        assert_eq!(v.get_field("opt"), Some(&Value::Null));
+        assert_eq!(v.get_field("training"), Some(&Value::Null));
+
+        let ckpt = dir.join(checkpoint_file_name(4));
+        model.save_checkpoint(&ckpt, &cursor()).expect("save_checkpoint");
+        let v = payload_value(&ckpt);
+        assert!(v.get_field("store").expect("store").get_field("grads").is_none());
+        assert!(matches!(v.get_field("opt"), Some(Value::Object(_))), "checkpoint keeps Adam");
+        assert!(matches!(v.get_field("training"), Some(Value::Object(_))));
+    }
+
+    #[test]
+    fn v3_plain_save_and_v3_checkpoint_still_load() {
+        let dataset = tiny_city(40, 3).dataset;
+        let dir = test_dir("v3");
+        let mut cfg = E2dtcConfig::tiny(3).with_checkpointing(dir.to_string_lossy(), 1);
+        cfg.checkpoint_keep_last = 0;
+        cfg.delta = -1.0; // fixed epoch count, so the resumed run is comparable
+        let mut model = E2dtc::new(&dataset, cfg);
+        let base = model.fit(&dataset);
+
+        // Plain save in the v3 layout: serves the same embeddings.
+        let plain = dir.join("model.json");
+        model.save(&plain).expect("save");
+        rewrite_as_v3(&plain, &model.opt);
+        assert!(payload_value(&plain).get_field("store").unwrap().get_field("grads").is_some());
+        let frozen = FrozenEncoder::from_checkpoint(&plain).expect("v3 plain save loads");
+        assert_eq!(frozen.embed_dataset(&dataset), model.embed_dataset(&dataset));
+        assert!(matches!(
+            expect_err(E2dtc::resume(&plain)),
+            PersistError::NotATrainingCheckpoint
+        ));
+
+        // Training checkpoint in the v3 layout (mid-self-training):
+        // resuming reproduces the uninterrupted run.
+        let ckpt = dir.join(checkpoint_file_name(5));
+        rewrite_as_v3(&ckpt, &model.opt);
+        let mut resumed = E2dtc::resume(&ckpt).expect("v3 checkpoint resumes");
+        assert_eq!(resumed.pending.as_ref().expect("cursor").phase, Phase::SelfTrain);
+        let fit = resumed.fit(&dataset);
+        assert_eq!(fit.assignments, base.assignments, "v3 resume diverged");
+        assert_eq!(fit.embeddings, base.embeddings);
+    }
+
+    #[test]
+    fn headerless_and_pre_v3_files_are_typed_errors() {
+        let (model, _) = trained_model();
+        let dir = test_dir("prev3");
+        let path = dir.join("model.json");
+        model.save(&path).expect("save");
+        let payload = serde_json::to_string(&payload_value(&path)).expect("json");
+
+        // Raw JSON, as v1/v2 wrote it: rejected before any parse.
+        let headerless = dir.join("headerless.json");
+        std::fs::write(&headerless, &payload).expect("write");
+        match expect_err(FrozenEncoder::from_checkpoint(&headerless)) {
+            PersistError::BadHeader(msg) => assert!(msg.contains("E2DTC-CKPT"), "msg: {msg}"),
+            other => panic!("expected BadHeader, got {other:?}"),
+        }
+        for version in [2, 5] {
+            let framed = dir.join(format!("v{version}.json"));
+            write_framed(&framed, version, &payload);
+            match expect_err(FrozenEncoder::from_checkpoint(&framed)) {
+                PersistError::UnsupportedVersion(v) => assert_eq!(v, version),
+                other => panic!("expected UnsupportedVersion({version}), got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -716,13 +742,13 @@ mod tests {
         let path = dir.join(checkpoint_file_name(4));
         model.save_checkpoint(&path, &cursor()).expect("save_checkpoint");
         let resumed = E2dtc::resume(&path).expect("resume");
-        assert!(resumed.has_pending_training());
         let st = resumed.pending.as_ref().expect("cursor");
         assert_eq!(st.phase, Phase::SelfTrain);
         assert_eq!(st.next_epoch, 1);
         assert_eq!(st.epochs_done, 4);
         assert_eq!(st.prev_assign.as_deref(), Some(&[0usize, 1, 2][..]));
         assert_eq!(st.rng, vec![1, 2, 3, 4]);
+        assert!(resumed.centroids.is_some());
     }
 
     #[test]
@@ -745,7 +771,7 @@ mod tests {
         model.save_checkpoint(&path, &cursor()).expect("save");
         let bytes = std::fs::read(&path).expect("read");
         std::fs::write(&path, &bytes[..bytes.len() - 200]).expect("truncate");
-        match expect_err(E2dtc::load(&path)) {
+        match expect_err(FrozenEncoder::from_checkpoint(&path)) {
             PersistError::BadHeader(msg) => {
                 assert!(msg.contains("truncated"), "msg: {msg}")
             }
@@ -765,7 +791,7 @@ mod tests {
         let target = header_end + 600;
         bytes[target] = if bytes[target] == b'1' { b'2' } else { b'1' };
         std::fs::write(&path, &bytes).expect("write");
-        match expect_err(E2dtc::load(&path)) {
+        match expect_err(FrozenEncoder::from_checkpoint(&path)) {
             PersistError::ChecksumMismatch { .. } => {}
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
@@ -776,20 +802,10 @@ mod tests {
         let (model, _) = trained_model();
         let dir = test_dir("badshape");
         let path = dir.join("model.json");
-        // Rebuild the saved form with one tensor the wrong shape.
         let mut saved = model.to_saved(None);
-        let mut mangled = ParamStore::new();
-        for (slot, id) in saved.store.ids().enumerate() {
-            let t = if slot == 1 {
-                Tensor::zeros(1, 1)
-            } else {
-                saved.store.get(id).clone()
-            };
-            mangled.add(saved.store.name(id).to_string(), t);
-        }
-        saved.store = mangled;
+        saved.store.params[1] = Tensor::zeros(1, 1);
         write_atomic(&path, &encode(&saved).expect("encode")).expect("write");
-        match expect_err(E2dtc::load(&path)) {
+        match expect_err(FrozenEncoder::from_checkpoint(&path)) {
             PersistError::ShapeMismatch { saved: got, .. } => assert_eq!(got, (1, 1)),
             other => panic!("expected ShapeMismatch, got {other:?}"),
         }
@@ -801,10 +817,9 @@ mod tests {
         let dir = test_dir("nonfinite");
         let path = dir.join("model.json");
         let mut saved = model.to_saved(None);
-        let first = saved.store.ids().next().expect("non-empty");
-        saved.store.get_mut(first).set(0, 0, f32::NAN);
+        saved.store.params[0].set(0, 0, f32::NAN);
         write_atomic(&path, &encode(&saved).expect("encode")).expect("write");
-        match expect_err(E2dtc::load(&path)) {
+        match expect_err(FrozenEncoder::from_checkpoint(&path)) {
             PersistError::NonFiniteParam(_) => {}
             other => panic!("expected NonFiniteParam, got {other:?}"),
         }
@@ -818,7 +833,7 @@ mod tests {
         let mut st = cursor();
         st.rng = vec![1, 2]; // wrong word count
         model.save_checkpoint(&path, &st).expect("save");
-        match expect_err(E2dtc::load(&path)) {
+        match expect_err(E2dtc::resume(&path)) {
             PersistError::BadRngState(2) => {}
             other => panic!("expected BadRngState(2), got {other:?}"),
         }
@@ -832,7 +847,7 @@ mod tests {
             .save_checkpoint(dir.join(checkpoint_file_name(2)), &cursor())
             .expect("good checkpoint");
         // Newest checkpoint is torn garbage (e.g. non-atomic writer died).
-        std::fs::write(dir.join(checkpoint_file_name(3)), b"E2DTC-CKPT v3 fnv1a64=dead")
+        std::fs::write(dir.join(checkpoint_file_name(3)), b"E2DTC-CKPT v4 fnv1a64=dead")
             .expect("write corrupt");
         let resumed = E2dtc::resume(&dir).expect("resume must fall back");
         assert_eq!(resumed.pending.as_ref().expect("cursor").epochs_done, 4);
@@ -871,143 +886,23 @@ mod tests {
     #[test]
     fn loaded_model_reports_centroids() {
         let (model, _) = trained_model();
-        assert!(model.centroids_param().is_some());
+        assert!(model.centroids.is_some());
         let dir = test_dir("centroids");
         let path = dir.join("model2.json");
         model.save(&path).expect("save");
-        let loaded = E2dtc::load(&path).expect("load");
-        assert!(loaded.centroids_param().is_some());
+        let frozen = FrozenEncoder::from_checkpoint(&path).expect("load");
+        assert!(frozen.centroids().is_some());
     }
 
     #[test]
     fn load_rejects_missing_file() {
-        assert!(E2dtc::load("/nonexistent/model.json").is_err());
-    }
-
-    /// Splits a fused (v2+) store back into the v1 per-gate layout, exactly
-    /// inverting [`migrate_v1_store`]. The r/z blocks of `b_h` fold into
-    /// `b_r`/`b_z`: both biases feed the same gate pre-activation, so the
-    /// sum is the equivalent v1 parameterization.
-    fn defuse_to_v1(store: &ParamStore) -> ParamStore {
-        let col_block = |t: &Tensor, lo: usize, hi: usize| {
-            let mut out = Tensor::zeros(t.rows(), hi - lo);
-            for r in 0..t.rows() {
-                out.row_mut(r).copy_from_slice(&t.row(r)[lo..hi]);
-            }
-            out
-        };
-        let ids: Vec<ParamId> = store.ids().collect();
-        let mut v1 = ParamStore::new();
-        let mut i = 0;
-        while i < ids.len() {
-            let name = store.name(ids[i]).to_string();
-            if let Some(prefix) = name.strip_suffix(".w_x") {
-                let w_x = store.get(ids[i]);
-                let w_h = store.get(ids[i + 1]);
-                let b_x = store.get(ids[i + 2]);
-                let b_h = store.get(ids[i + 3]);
-                let h = w_h.rows();
-                v1.add(format!("{prefix}.w_xr"), col_block(w_x, 0, h));
-                v1.add(format!("{prefix}.w_hr"), col_block(w_h, 0, h));
-                v1.add(format!("{prefix}.w_xz"), col_block(w_x, h, 2 * h));
-                v1.add(format!("{prefix}.w_hz"), col_block(w_h, h, 2 * h));
-                v1.add(format!("{prefix}.w_xn"), col_block(w_x, 2 * h, 3 * h));
-                v1.add(format!("{prefix}.w_hn"), col_block(w_h, 2 * h, 3 * h));
-                v1.add(format!("{prefix}.b_r"), col_block(b_x, 0, h).add(&col_block(b_h, 0, h)));
-                v1.add(
-                    format!("{prefix}.b_z"),
-                    col_block(b_x, h, 2 * h).add(&col_block(b_h, h, 2 * h)),
-                );
-                v1.add(format!("{prefix}.b_xn"), col_block(b_x, 2 * h, 3 * h));
-                v1.add(format!("{prefix}.b_hn"), col_block(b_h, 2 * h, 3 * h));
-                i += 4;
-            } else {
-                v1.add(name, store.get(ids[i]).clone());
-                i += 1;
-            }
-        }
-        v1
-    }
-
-    /// Builds a legacy (headerless, raw-JSON) v1 file for `model` with
-    /// `mutate` applied to the defused store first.
-    fn write_v1_file(
-        model: &E2dtc,
-        path: &Path,
-        mutate: impl FnOnce(ParamStore) -> ParamStore,
-    ) {
-        let saved = SavedModel {
-            format_version: 1,
-            config: model.cfg.clone(),
-            grid: model.grid.clone(),
-            vocab: model.vocab.clone(),
-            weights: model.weights.clone(),
-            store: mutate(defuse_to_v1(&model.store)),
-            has_centroids: model.centroids.is_some(),
-            opt: Adam::new(model.cfg.lr).with_max_grad_norm(model.cfg.max_grad_norm),
-            training: None,
-        };
-        let file = std::io::BufWriter::new(File::create(path).expect("create"));
-        serde_json::to_writer(file, &saved).expect("write v1 checkpoint");
-    }
-
-    #[test]
-    fn v1_checkpoint_loads_and_matches_fused_model() {
-        let (model, dataset) = trained_model();
-        let dir = test_dir("v1");
-        let path = dir.join("model_v1.json");
-        write_v1_file(&model, &path, |s| s);
-
-        let migrated = E2dtc::load(&path).expect("v1 checkpoint must load");
-        assert!(migrated.centroids_param().is_some());
-
-        // The fused parameterization is mathematically identical; only
-        // float association differs (b_h's r/z blocks fold into b_x), so
-        // embeddings agree to f32 tolerance and assignments exactly.
-        let orig = model.embed_dataset(&dataset);
-        let loaded = migrated.embed_dataset(&dataset);
-        assert_eq!(orig.shape(), loaded.shape());
-        for (a, b) in orig.data().iter().zip(loaded.data()) {
-            assert!((a - b).abs() < 1e-3, "migrated embedding diverges: {a} vs {b}");
-        }
-        assert_eq!(model.assign(&dataset), migrated.assign(&dataset));
-    }
-
-    #[test]
-    fn v1_truncated_gru_cell_is_a_typed_error() {
-        let (model, _) = trained_model();
-        let dir = test_dir("v1trunc");
-        let path = dir.join("model_v1.json");
-        // Cut the store four tensors into the last GRU cell, so its
-        // remaining six per-gate tensors are missing.
-        write_v1_file(&model, &path, |s| {
-            let last_cell_start = s
-                .ids()
-                .enumerate()
-                .filter(|&(_, id)| s.name(id).ends_with(".w_xr"))
-                .map(|(i, _)| i)
-                .last()
-                .expect("defused store has GRU cells");
-            let mut out = ParamStore::new();
-            for id in s.ids().take(last_cell_start + 4) {
-                out.add(s.name(id).to_string(), s.get(id).clone());
-            }
-            out
-        });
-        match expect_err(E2dtc::load(&path)) {
-            PersistError::BadGruCell(msg) => {
-                assert!(msg.contains("truncated") || msg.contains("expected"), "msg: {msg}")
-            }
-            other => panic!("expected BadGruCell, got {other:?}"),
-        }
+        assert!(FrozenEncoder::from_checkpoint("/nonexistent/model.json").is_err());
     }
 
     #[test]
     fn registration_order_is_deterministic() {
         // The invariant save/load depends on: two identically-configured
         // constructions register identical parameter names in order.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let build = || {
             let mut store = ParamStore::new();
             let mut rng = StdRng::seed_from_u64(0);

@@ -30,7 +30,7 @@
 //!   multiplied by `guard_lr_backoff`. Recoveries surface in
 //!   [`EpochRecord::skipped_batches`] / [`EpochRecord::rollbacks`].
 //! - **Periodic durable checkpoints** — with `checkpoint_every > 0` and a
-//!   `checkpoint_dir`, a format-v3 checkpoint (atomic write, checksum;
+//!   `checkpoint_dir`, a training checkpoint (atomic write, checksum;
 //!   see [`crate::persist`]) is written after every N completed epochs
 //!   and rotated to the newest `checkpoint_keep_last` files.
 //! - **Resume** — [`E2dtc::resume`] restores model, optimizer, RNG
@@ -98,18 +98,17 @@ pub struct EpochRecord {
     /// (self-training only).
     pub label_change: Option<f64>,
     /// Mean pre-clip global gradient norm over applied optimizer steps
-    /// (0 when no step was applied). Pre-v3 records deserialize to 0.
+    /// (0 when no step was applied). Early v3 checkpoints predate the
+    /// field and deserialize to 0.
     #[serde(default)]
     pub grad_norm: f32,
-    /// Learning rate in force during the epoch. Pre-v3 records
-    /// deserialize to 0.
+    /// Learning rate in force during the epoch. Early v3 checkpoints
+    /// predate the field and deserialize to 0.
     #[serde(default)]
     pub lr: f32,
     /// Batches whose update was dropped by the non-finite guard.
-    #[serde(default)]
     pub skipped_batches: usize,
     /// Snapshot rollbacks consumed while (re)running this epoch.
-    #[serde(default)]
     pub rollbacks: usize,
 }
 
@@ -131,7 +130,7 @@ impl EpochRecord {
     }
 }
 
-/// Mid-training cursor carried inside format-v3 checkpoints: everything
+/// Mid-training cursor carried inside training checkpoints: everything
 /// `fit` needs — beyond the model parameters themselves — to continue an
 /// interrupted run as if it had never stopped.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -145,7 +144,6 @@ pub struct TrainingState {
     /// Accumulated per-epoch history.
     pub history: Vec<EpochRecord>,
     /// Previous self-training assignments (stop-rule state).
-    #[serde(default)]
     pub prev_assign: Option<Vec<usize>>,
     /// Captured RNG stream position (four xoshiro256++ state words).
     pub rng: Vec<u64>,
@@ -669,7 +667,7 @@ impl E2dtc {
     fn restore(&mut self, snap: &Snapshot, st: &mut TrainingState, guard: &mut NonFiniteGuard) {
         self.store = snap.store.clone();
         self.opt = snap.opt.clone();
-        self.opt.set_lr(self.opt.lr() * self.cfg.effective_lr_backoff());
+        self.opt.set_lr(self.opt.lr() * self.cfg.guard_lr_backoff);
         self.rng = StdRng::restore(snap.rng);
         st.prev_assign = snap.prev_assign.clone();
         guard.reset_streak();
@@ -709,7 +707,7 @@ impl E2dtc {
     }
 
     /// Re-tokenizes `dataset` into `self.sequences` when they are absent
-    /// or misaligned (e.g. after [`E2dtc::load`], or when training moves
+    /// or misaligned (e.g. after [`E2dtc::resume`], or when training moves
     /// to a different dataset).
     pub(crate) fn ensure_sequences(&mut self, dataset: &Dataset) {
         if self.sequences.len() != dataset.len() {

@@ -1,0 +1,41 @@
+//! `e2dtc train` with a cluster count outside `1..=|dataset|` must fail
+//! with an error message and exit code 1, not panic.
+
+use std::process::Command;
+
+fn bin() -> &'static str {
+    env!("CARGO_BIN_EXE_e2dtc")
+}
+
+#[test]
+fn train_with_out_of_range_k_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("e2dtc_cli_train_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let data = dir.join("data.json");
+    let model = dir.join("model.json");
+    let path = |p: &std::path::Path| p.to_str().expect("utf-8 temp path").to_string();
+
+    let status = Command::new(bin())
+        .args(["generate", "--kind", "hangzhou", "--n", "20", "--seed", "5"])
+        .args(["--out", &path(&data), "--quiet"])
+        .status()
+        .expect("launch generate");
+    assert!(status.success(), "generate failed");
+
+    for k in ["0", "1000"] {
+        let run = Command::new(bin())
+            .args(["train", "--data", &path(&data), "--out", &path(&model)])
+            .args(["--k", k, "--quiet"])
+            .output()
+            .expect("launch train");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "--k {k}: {stderr}");
+        assert!(
+            stderr.contains("error:") && stderr.contains("out of range"),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(!model.exists(), "a failed train must not write a model");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

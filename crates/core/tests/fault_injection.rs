@@ -136,7 +136,7 @@ fn torn_checkpoint_save_falls_back_to_previous_good_one() {
 
     let torn = dir.join("ckpt-000006.json");
     assert_eq!(std::fs::metadata(&torn).expect("torn file exists").len(), 100);
-    assert!(E2dtc::load(&torn).is_err(), "torn file must not validate");
+    assert!(E2dtc::resume(&torn).is_err(), "torn file must not validate");
 
     // resume() skips the torn newest file and falls back to epoch 5.
     let mut resumed = E2dtc::resume(&dir).expect("fallback resume");
@@ -169,6 +169,6 @@ fn killed_save_leaves_final_path_untouched() {
     let ckpts = e2dtc::persist::list_checkpoints(&dir).expect("list");
     assert_eq!(ckpts.len(), 5);
     for ckpt in &ckpts {
-        E2dtc::load(ckpt).unwrap_or_else(|e| panic!("{} invalid: {e}", ckpt.display()));
+        E2dtc::resume(ckpt).unwrap_or_else(|e| panic!("{} invalid: {e}", ckpt.display()));
     }
 }

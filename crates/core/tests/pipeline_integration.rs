@@ -186,7 +186,8 @@ fn attention_variant_trains_and_persists() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("attn_model.json");
     model.save(&path).expect("save");
-    let loaded = e2dtc::E2dtc::load(&path).expect("load");
-    assert_eq!(model.assign(&data.dataset), loaded.assign(&data.dataset));
+    let frozen = e2dtc::FrozenEncoder::from_checkpoint(&path).expect("load");
+    let emb = frozen.embed_dataset(&data.dataset);
+    assert_eq!(model.assign(&data.dataset), frozen.hard_assign(&emb));
     std::fs::remove_file(path).ok();
 }

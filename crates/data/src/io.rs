@@ -206,6 +206,16 @@ mod tests {
         assert!(load_labeled_json("/nonexistent/nope.json").is_err());
     }
 
+    #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        let dir = std::env::temp_dir().join("traj_data_io_test");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("deep.json");
+        std::fs::write(&path, "[".repeat(200_000) + &"]".repeat(200_000)).expect("write");
+        assert!(load_labeled_json(&path).is_err());
+        std::fs::remove_file(path).ok();
+    }
+
     fn csv_path(name: &str, contents: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("traj_data_io_test");
         std::fs::create_dir_all(&dir).expect("mkdir");

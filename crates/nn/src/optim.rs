@@ -38,21 +38,9 @@ impl Adam {
         }
     }
 
-    /// The paper's configuration: lr = 1e-4, max grad norm = 5.
-    pub fn paper() -> Self {
-        Self::new(1e-4).with_max_grad_norm(5.0)
-    }
-
     /// Enables global-norm gradient clipping.
     pub fn with_max_grad_norm(mut self, max_norm: f32) -> Self {
         self.max_grad_norm = Some(max_norm);
-        self
-    }
-
-    /// Overrides the moment decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
         self
     }
 
@@ -64,11 +52,6 @@ impl Adam {
     /// Replaces the learning rate (for schedules).
     pub fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
-    }
-
-    /// Number of optimizer steps taken.
-    pub fn steps_taken(&self) -> u64 {
-        self.step
     }
 
     /// Applies one update using the gradients accumulated in `store`, then
@@ -175,12 +158,5 @@ mod tests {
         store.grad_mut(b).set(0, 0, 1.0);
         opt.step(&mut store); // must not panic and must update b
         assert!(store.get(b).get(0, 0) < 0.0);
-    }
-
-    #[test]
-    fn paper_config_matches_section_vii_b() {
-        let opt = Adam::paper();
-        assert!((opt.lr() - 1e-4).abs() < 1e-9);
-        assert_eq!(opt.max_grad_norm, Some(5.0));
     }
 }

@@ -7,10 +7,9 @@
 use crate::init::Init;
 use crate::tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Opaque handle to a parameter inside a [`ParamStore`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
 
 impl ParamId {
@@ -21,7 +20,7 @@ impl ParamId {
 }
 
 /// Container for all trainable tensors of a model plus their gradients.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ParamStore {
     params: Vec<Tensor>,
     grads: Vec<Tensor>,

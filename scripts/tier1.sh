@@ -15,9 +15,12 @@
 #   e2e    — the end-to-end benchmark's tiny-scale self-test; e2ebench/
 #            is its own package outside the workspace, so this is what
 #            catches an API change that breaks it
-#   smoke  — the CLI serve path end-to-end on a tiny synthetic city:
-#            generate → train → embed and assign (both through the frozen
-#            encoder from the checkpoint), whose labels must agree
+#   smoke  — the CLI end-to-end on a tiny synthetic city: generate →
+#            train (the plain save must carry no gradients and no Adam
+#            state) → embed and assign (both through the frozen encoder
+#            from the checkpoint), whose labels must agree; then a
+#            checkpointed train resumed from its checkpoint directory, and
+#            a resume from the plain save, which must fail with `error:`
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +39,10 @@ trap 'rm -rf "$smoke_dir"' EXIT
 ./target/release/e2dtc generate --kind hangzhou --n 40 --out "$smoke_dir/data.json" --quiet
 ./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/model.json" \
     --preset fast --quiet
+if ! tail -n +2 "$smoke_dir/model.json" | jq -e '(.store | has("grads") | not) and .opt == null' >/dev/null; then
+    echo "tier1: plain model save carries gradients or optimizer state" >&2
+    exit 1
+fi
 ./target/release/e2dtc embed --model "$smoke_dir/model.json" --data "$smoke_dir/data.json" \
     --out "$smoke_dir/emb.json" --quiet
 grep -q '"embeddings"' "$smoke_dir/emb.json"
@@ -43,6 +50,17 @@ grep -q '"embeddings"' "$smoke_dir/emb.json"
     --out "$smoke_dir/assign.json" --quiet
 if [ "$(jq -c .assignments "$smoke_dir/emb.json")" != "$(jq -c . "$smoke_dir/assign.json")" ]; then
     echo "tier1: assign labels differ from the assignments embed wrote" >&2
+    exit 1
+fi
+./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/ck_model.json" \
+    --preset fast --checkpoint-dir "$smoke_dir/ck" --checkpoint-every 1 --quiet
+./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/resumed.json" \
+    --resume "$smoke_dir/ck" --quiet
+rc=0
+./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/bad.json" \
+    --resume "$smoke_dir/model.json" --quiet 2>"$smoke_dir/resume_err.txt" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q '^error:' "$smoke_dir/resume_err.txt"; then
+    echo "tier1: resuming from a plain model save must exit 1 with an error (got $rc)" >&2
     exit 1
 fi
 

@@ -9,6 +9,9 @@
 //! (u64 seeds survive round trips); floats are printed with Rust's `{:?}`
 //! formatting, which emits the shortest string that round-trips the exact
 //! bit pattern. Non-finite floats become `null`, matching serde_json.
+//!
+//! Parsing is recursive, so nesting is capped at 128 arrays or objects
+//! (serde_json's limit); deeper input is an error, not a stack overflow.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -89,9 +92,12 @@ pub fn from_reader<R: Read, T: Deserialize>(mut reader: R) -> Result<T> {
     from_str(&text)
 }
 
+/// Deepest array/object nesting the parser accepts.
+const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a raw [`Value`] tree.
 pub fn parse_value_str(s: &str) -> Result<Value> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -198,6 +204,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -239,12 +247,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value> {
@@ -472,6 +491,18 @@ mod tests {
         to_writer_pretty(&mut buf, &data).unwrap();
         let back: Vec<(usize, f32)> = from_reader(buf.as_slice()).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let err = parse_value_str(&deep(100_000)).expect_err("too deep");
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        assert!(parse_value_str(&deep(MAX_DEPTH + 1)).is_err());
+        assert!(parse_value_str(&deep(MAX_DEPTH)).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse_value_str(&objects).is_ok());
+        assert!(parse_value_str(&format!("{{\"a\":{objects}}}")).is_err());
     }
 
     #[test]
