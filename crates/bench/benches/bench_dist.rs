@@ -1,16 +1,14 @@
 //! Criterion micro-benchmarks for the classical distance kernels — the
 //! per-pair costs that make Fig. 3's O(n²) baselines explode.
 //!
-//! Three layers: `pair_kernels` compares the lat/lon reference kernels
-//! against the pre-projected trig-free ones (and the Sakoe-Chiba banded
-//! DTW), `distance_matrix` measures the full blocked O(n²) computation,
-//! and `knn` measures the lower-bound pruning cascade against brute
-//! force on the same database.
+//! Two layers: `pair_kernels` times each pre-projected trig-free kernel
+//! (and the Sakoe-Chiba banded DTW) on one pair, and `distance_matrix`
+//! measures the full blocked O(n²) computation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use traj_data::{SynthSpec, Trajectory};
-use traj_dist::{knn, DistanceMatrix, KnnIndex, Metric, ProjectedTraj};
+use traj_dist::{DistanceMatrix, Metric, ProjectedTraj};
 
 fn sample_trajectories(n: usize, seed: u64) -> Vec<Trajectory> {
     let mut spec = SynthSpec::hangzhou_like(n, seed);
@@ -20,30 +18,10 @@ fn sample_trajectories(n: usize, seed: u64) -> Vec<Trajectory> {
 
 fn bench_pair_kernels(c: &mut Criterion) {
     let ts = sample_trajectories(8, 1);
-    let (a, b) = (&ts[0], &ts[1]);
     let (_, projected) = ProjectedTraj::project_all(&ts);
     let (pa, pb) = (&projected[0], &projected[1]);
 
     let mut group = c.benchmark_group("pair_kernels");
-    group.bench_function("dtw", |bch| bch.iter(|| traj_dist::dtw::dtw(black_box(a), black_box(b))));
-    group.bench_function("edr", |bch| {
-        bch.iter(|| traj_dist::edr::edr(black_box(a), black_box(b), 200.0))
-    });
-    group.bench_function("lcss", |bch| {
-        bch.iter(|| traj_dist::lcss::lcss_distance(black_box(a), black_box(b), 200.0))
-    });
-    group.bench_function("hausdorff", |bch| {
-        bch.iter(|| traj_dist::hausdorff::hausdorff(black_box(a), black_box(b)))
-    });
-    group.bench_function("erp", |bch| {
-        bch.iter(|| traj_dist::erp::erp_origin(black_box(a), black_box(b)))
-    });
-    group.bench_function("frechet", |bch| {
-        bch.iter(|| traj_dist::frechet::frechet(black_box(a), black_box(b)))
-    });
-
-    // Projected counterparts: identical DP recurrences on pre-projected
-    // meter buffers — the speedup here is pure trig elimination.
     group.bench_function("dtw_projected", |bch| {
         bch.iter(|| traj_dist::dtw::dtw_projected(black_box(pa), black_box(pb)))
     });
@@ -58,12 +36,6 @@ fn bench_pair_kernels(c: &mut Criterion) {
     });
     group.bench_function("hausdorff_projected", |bch| {
         bch.iter(|| traj_dist::hausdorff::hausdorff_projected(black_box(pa), black_box(pb)))
-    });
-    group.bench_function("erp_projected", |bch| {
-        bch.iter(|| traj_dist::erp::erp_projected(black_box(pa), black_box(pb)))
-    });
-    group.bench_function("frechet_projected", |bch| {
-        bch.iter(|| traj_dist::frechet::frechet_projected(black_box(pa), black_box(pb)))
     });
     group.finish();
 }
@@ -86,38 +58,5 @@ fn bench_matrix_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_knn(c: &mut Criterion) {
-    let db = sample_trajectories(200, 3);
-    let queries = sample_trajectories(4, 4);
-    let index = KnnIndex::build(&db);
-    let projected_queries: Vec<ProjectedTraj> =
-        queries.iter().map(|q| ProjectedTraj::project(q, index.projector())).collect();
-
-    let mut group = c.benchmark_group("knn");
-    group.sample_size(10);
-    group.bench_function("dtw_top10_pruned/200", |bch| {
-        bch.iter(|| {
-            for q in &projected_queries {
-                black_box(knn::knn_dtw(index.items(), black_box(q), 10, None));
-            }
-        })
-    });
-    group.bench_function("dtw_top10_brute/200", |bch| {
-        bch.iter(|| {
-            for q in &projected_queries {
-                black_box(knn::knn_dtw_brute(index.items(), black_box(q), 10, None));
-            }
-        })
-    });
-    group.bench_function("dtw_top10_pruned_banded8/200", |bch| {
-        bch.iter(|| {
-            for q in &projected_queries {
-                black_box(knn::knn_dtw(index.items(), black_box(q), 10, Some(8)));
-            }
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_pair_kernels, bench_matrix_scaling, bench_knn);
+criterion_group!(benches, bench_pair_kernels, bench_matrix_scaling);
 criterion_main!(benches);

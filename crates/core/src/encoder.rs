@@ -12,7 +12,7 @@
 //! The forward path is the tape-free eval mirror from
 //! [`traj_nn::infer`], and it is the only forward that runs without a
 //! backward: serving, `E2dtc::embed_dataset`, and `fit`'s own clustering
-//! passes all go through [`embed_tokenized`]. It is bit-identical to the
+//! passes all go through `embed_tokenized`. It is bit-identical to the
 //! tape's [`Seq2Seq::encode`] (pinned by this module's tests) — the
 //! contract Algorithm 1 rests on, since Q/P come from these embeddings
 //! while the DEC loss gradients come from the tape's — while skipping all

@@ -23,9 +23,16 @@ pub fn save_labeled_json(data: &LabeledDataset, path: impl AsRef<Path>) -> io::R
 }
 
 /// Loads a labelled dataset from JSON.
+///
+/// Input that [`import_labeled_csv`] would reject — a non-finite
+/// coordinate or time (`null` or an overflowing number), a trajectory
+/// with no points, or a label count that differs from the trajectory
+/// count — is an [`io::ErrorKind::InvalidData`] error.
 pub fn load_labeled_json(path: impl AsRef<Path>) -> io::Result<LabeledDataset> {
     let file = BufReader::new(File::open(path)?);
-    serde_json::from_reader(file).map_err(io::Error::other)
+    let data: LabeledDataset = serde_json::from_reader(file).map_err(io::Error::other)?;
+    check_dataset(&data.dataset, Some(&data.labels))?;
+    Ok(data)
 }
 
 /// Saves a raw dataset as pretty JSON.
@@ -34,10 +41,42 @@ pub fn save_dataset_json(data: &Dataset, path: impl AsRef<Path>) -> io::Result<(
     serde_json::to_writer_pretty(file, data).map_err(io::Error::other)
 }
 
-/// Loads a raw dataset from JSON.
+/// Loads a raw dataset from JSON, rejecting non-finite values and empty
+/// trajectories as [`load_labeled_json`] does.
 pub fn load_dataset_json(path: impl AsRef<Path>) -> io::Result<Dataset> {
     let file = BufReader::new(File::open(path)?);
-    serde_json::from_reader(file).map_err(io::Error::other)
+    let data: Dataset = serde_json::from_reader(file).map_err(io::Error::other)?;
+    check_dataset(&data, None)?;
+    Ok(data)
+}
+
+/// The rules [`import_labeled_csv`] enforces or gets by construction,
+/// applied to a parsed JSON dataset: every coordinate and time is
+/// finite, every trajectory has a point, and `labels` (when given) has
+/// one entry per trajectory.
+fn check_dataset(data: &Dataset, labels: Option<&[usize]>) -> io::Result<()> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    for t in &data.trajectories {
+        if t.points.is_empty() {
+            return Err(invalid(format!("trajectory {} has no points", t.id)));
+        }
+        for (i, p) in t.points.iter().enumerate() {
+            if !(p.lat.is_finite() && p.lon.is_finite() && p.time.is_finite()) {
+                return Err(invalid(format!(
+                    "trajectory {} point {i}: non-finite coordinate or time",
+                    t.id
+                )));
+            }
+        }
+    }
+    match labels {
+        Some(labels) if labels.len() != data.trajectories.len() => Err(invalid(format!(
+            "{} labels for {} trajectories",
+            labels.len(),
+            data.trajectories.len()
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// Exports a labelled dataset as flat CSV
@@ -214,6 +253,62 @@ mod tests {
         std::fs::write(&path, "[".repeat(200_000) + &"]".repeat(200_000)).expect("write");
         assert!(load_labeled_json(&path).is_err());
         std::fs::remove_file(path).ok();
+    }
+
+    /// `value` as pretty JSON, after `edit` rewrites the text.
+    fn edited_json(
+        name: &str,
+        value: &impl serde::Serialize,
+        edit: impl Fn(&str) -> String,
+    ) -> std::path::PathBuf {
+        let text = serde_json::to_string_pretty(value).expect("serialize");
+        let edited = edit(&text);
+        assert_ne!(edited, text, "edit must change the file");
+        csv_path(name, &edited)
+    }
+
+    /// Replaces the JSON array after `"key": ` with `[]`.
+    fn empty_array(text: &str, key: &str) -> String {
+        let start = text.find(&format!("\"{key}\": [")).expect("key");
+        let end = start + text[start..].find(']').expect("end of array");
+        format!("{}\"{key}\": []{}", &text[..start], &text[end + 1..])
+    }
+
+    fn assert_invalid(err: io::Error, needles: &[&str]) {
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "err: {err}");
+        let msg = err.to_string();
+        for needle in needles {
+            assert!(msg.contains(needle), "{needle:?} missing from: {msg}");
+        }
+    }
+
+    #[test]
+    fn json_load_rejects_non_finite_values() {
+        // The serde shim reads `null` as NaN and an overflowing number as ∞.
+        for (name, from, to) in [
+            ("null_lat", "\"lat\": 30.124", "\"lat\": null"),
+            ("overflow", "\"time\": 5.0", "\"time\": 1e400"),
+        ] {
+            let edit = |t: &str| t.replacen(from, to, 1);
+            let path = edited_json(&format!("{name}.json"), &sample(), edit);
+            assert_invalid(load_labeled_json(&path).expect_err(name), &["trajectory 7", "point 1"]);
+            let path = edited_json(&format!("{name}_dataset.json"), &sample().dataset, edit);
+            assert_invalid(load_dataset_json(&path).expect_err(name), &["trajectory 7", "point 1"]);
+        }
+    }
+
+    #[test]
+    fn json_load_rejects_empty_trajectory() {
+        let path = edited_json("no_points.json", &sample(), |t| empty_array(t, "points"));
+        let err = load_labeled_json(&path).expect_err("must fail");
+        assert_invalid(err, &["trajectory 7", "no points"]);
+    }
+
+    #[test]
+    fn json_load_rejects_label_count_mismatch() {
+        let path = edited_json("labels.json", &sample(), |t| empty_array(t, "labels"));
+        let err = load_labeled_json(&path).expect_err("must fail");
+        assert_invalid(err, &["0 labels for 1 trajectories"]);
     }
 
     fn csv_path(name: &str, contents: &str) -> std::path::PathBuf {

@@ -28,17 +28,6 @@ impl GpsPoint {
         haversine_m(self.lat, self.lon, other.lat, other.lon)
     }
 
-    /// Fast approximate planar distance in meters, using an
-    /// equirectangular projection around the midpoint latitude. Accurate to
-    /// well under 0.1 % at city scale, and ~5× cheaper than haversine —
-    /// used inside the O(n·m) DP distance kernels.
-    pub fn euclid_approx_m(&self, other: &GpsPoint) -> f64 {
-        let mid_lat = ((self.lat + other.lat) * 0.5).to_radians();
-        let dx = (other.lon - self.lon).to_radians() * mid_lat.cos();
-        let dy = (other.lat - self.lat).to_radians();
-        (dx * dx + dy * dy).sqrt() * EARTH_RADIUS_M
-    }
-
     /// Returns a copy displaced by `(dx, dy)` meters (east, north).
     pub fn offset_m(&self, dx: f64, dy: f64) -> GpsPoint {
         let dlat = (dy / EARTH_RADIUS_M).to_degrees();
@@ -78,15 +67,6 @@ mod tests {
         let a = haversine_m(30.25, 120.15, 30.3, 120.2);
         let b = haversine_m(30.3, 120.2, 30.25, 120.15);
         assert!((a - b).abs() < 1e-9);
-    }
-
-    #[test]
-    fn equirectangular_matches_haversine_at_city_scale() {
-        let p = GpsPoint::new(30.25, 120.15, 0.0);
-        let q = GpsPoint::new(30.27, 120.19, 0.0);
-        let h = p.haversine_m(&q);
-        let e = p.euclid_approx_m(&q);
-        assert!((h - e).abs() / h < 1e-3, "haversine {h}, approx {e}");
     }
 
     #[test]

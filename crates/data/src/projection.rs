@@ -1,14 +1,11 @@
 //! Fixed-anchor equirectangular projection into planar meter coordinates.
 //!
-//! [`GpsPoint::euclid_approx_m`] re-derives an equirectangular frame from
-//! the *midpoint latitude of every pair it touches*, which costs
-//! `to_radians`/`cos` trig per DP cell. A [`Projector`] instead fixes the
-//! frame once — anchored at the dataset mean latitude — so every point
-//! projects to flat `(x, y)` meters in O(1) and all pairwise distances
-//! become trig-free arithmetic. At city scale (≤ ~0.1° of latitude
-//! spread) the anchored frame agrees with the per-pair midpoint frame to
-//! well under 0.1 % (see `tests`), the same tolerance already accepted
-//! for `euclid_approx_m` vs. haversine.
+//! A [`Projector`] fixes one equirectangular frame, anchored at the
+//! dataset mean latitude, so every point projects to flat `(x, y)` meters
+//! in O(1) and all pairwise distances become trig-free arithmetic. The
+//! `traj-dist` kernels run on these coordinates. At city scale (≤ ~0.1°
+//! of latitude spread) the anchored frame agrees with haversine to well
+//! under 0.1 % (see `tests`).
 
 use crate::point::{GpsPoint, EARTH_RADIUS_M};
 use crate::trajectory::Trajectory;
@@ -63,8 +60,8 @@ impl Projector {
     }
 
     /// Planar distance in meters between two points under this
-    /// projection. Serves as the lat/lon-level oracle for the
-    /// precomputed-buffer kernels in `traj-dist`.
+    /// projection. The naive test oracles of the precomputed-buffer
+    /// kernels in `traj-dist` evaluate it per DP cell.
     pub fn distance_m(&self, a: &GpsPoint, b: &GpsPoint) -> f64 {
         let (ax, ay) = self.project(a);
         let (bx, by) = self.project(b);
@@ -99,19 +96,6 @@ mod tests {
     fn empty_dataset_anchors_at_equator() {
         assert_eq!(Projector::for_trajectories(&[]).anchor_lat_deg(), 0.0);
         assert_eq!(Projector::for_trajectories(&[Trajectory::new(0, vec![])]).anchor_lat_deg(), 0.0);
-    }
-
-    #[test]
-    fn projected_distance_matches_midpoint_equirectangular_at_city_scale() {
-        let proj = Projector::new(30.05);
-        let a = GpsPoint::new(30.0, 120.0, 0.0);
-        let b = GpsPoint::new(30.1, 120.1, 0.0);
-        let anchored = proj.distance_m(&a, &b);
-        let midpoint = a.euclid_approx_m(&b);
-        assert!(
-            (anchored - midpoint).abs() / midpoint < 1e-3,
-            "anchored {anchored}, midpoint {midpoint}"
-        );
     }
 
     #[test]

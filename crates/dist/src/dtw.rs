@@ -4,84 +4,14 @@
 //! monotone alignments of the two sequences. O(|A|·|B|) time, O(min) space
 //! via a rolling row.
 //!
-//! Three kernel tiers share the recurrence:
-//! - [`dtw`] — the lat/lon reference (per-cell equirectangular trig),
-//!   kept as the oracle the projected kernels are tested against;
-//! - [`dtw_projected`] / [`dtw_projected_banded`] — trig-free rolling-row
-//!   DP over pre-projected [`ProjectedTraj`] buffers, optionally under a
-//!   Sakoe–Chiba band;
-//! - [`dtw_projected_pruned`] — the banded kernel with early abandoning
-//!   (rows whose minimum exceeds a cutoff prove the pair can't beat it),
-//!   the workhorse of the [`crate::knn`] cascade.
+//! Two trig-free rolling-row kernels over pre-projected [`ProjectedTraj`]
+//! buffers share the recurrence: [`dtw_projected`] over the full table
+//! and [`dtw_projected_banded`] under a Sakoe–Chiba band.
 
 use crate::project::ProjectedTraj;
-use traj_data::Trajectory;
 
-/// DTW distance in meters between two trajectories.
-///
-/// Empty inputs: `0` if both are empty, `+∞` if exactly one is.
-pub fn dtw(a: &Trajectory, b: &Trajectory) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    match (n, m) {
-        (0, 0) => return 0.0,
-        (0, _) | (_, 0) => return f64::INFINITY,
-        _ => {}
-    }
-    // prev[j] = D(i-1, j), curr[j] = D(i, j); j indexes b, 1-based stored 0..=m.
-    let mut prev = vec![f64::INFINITY; m + 1];
-    let mut curr = vec![f64::INFINITY; m + 1];
-    prev[0] = 0.0;
-    for i in 1..=n {
-        curr[0] = f64::INFINITY;
-        let pa = &a.points[i - 1];
-        for j in 1..=m {
-            let cost = pa.euclid_approx_m(&b.points[j - 1]);
-            let best = prev[j].min(curr[j - 1]).min(prev[j - 1]);
-            curr[j] = cost + best;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m]
-}
-
-/// DTW in meters over a Sakoe–Chiba band: cells with `|i − j| > w` are
-/// excluded, where `w = max(band, ||A| − |B||)` (widening to the length
-/// difference keeps an alignment path feasible). Lat/lon reference for
-/// [`dtw_projected_banded`].
-///
-/// Empty inputs: `0` if both are empty, `+∞` if exactly one is.
-pub fn dtw_banded(a: &Trajectory, b: &Trajectory, band: usize) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    match (n, m) {
-        (0, 0) => return 0.0,
-        (0, _) | (_, 0) => return f64::INFINITY,
-        _ => {}
-    }
-    let w = band.max(n.abs_diff(m));
-    let mut prev = vec![f64::INFINITY; m + 1];
-    let mut curr = vec![f64::INFINITY; m + 1];
-    prev[0] = 0.0;
-    for i in 1..=n {
-        let lo = i.saturating_sub(w).max(1);
-        let hi = (i + w).min(m);
-        curr[lo - 1] = f64::INFINITY;
-        let pa = &a.points[i - 1];
-        for j in lo..=hi {
-            let cost = pa.euclid_approx_m(&b.points[j - 1]);
-            let best = prev[j].min(curr[j - 1]).min(prev[j - 1]);
-            curr[j] = cost + best;
-        }
-        if hi < m {
-            curr[hi + 1] = f64::INFINITY;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m]
-}
-
-/// Trig-free DTW in meters over pre-projected buffers. Same recurrence
-/// as [`dtw`], but each cell is two subtractions, one FMA, and one
-/// square root — no `to_radians`/`cos`.
+/// Trig-free DTW in meters over pre-projected buffers. Each cell is two
+/// subtractions, one FMA, and one square root — no `to_radians`/`cos`.
 ///
 /// Empty inputs: `0` if both are empty, `+∞` if exactly one is.
 pub fn dtw_projected(a: &ProjectedTraj, b: &ProjectedTraj) -> f64 {
@@ -119,33 +49,20 @@ pub fn dtw_projected(a: &ProjectedTraj, b: &ProjectedTraj) -> f64 {
     prev[m]
 }
 
-/// Trig-free Sakoe–Chiba-banded DTW over pre-projected buffers; see
-/// [`dtw_banded`] for the band semantics.
-pub fn dtw_projected_banded(a: &ProjectedTraj, b: &ProjectedTraj, band: usize) -> f64 {
-    dtw_projected_pruned(a, b, Some(band), f64::INFINITY)
-        .expect("infinite cutoff never abandons")
-}
-
-/// Early-abandoning (optionally banded) projected DTW.
+/// Trig-free DTW in meters over a Sakoe–Chiba band: cells with
+/// `|i − j| > w` are excluded, where `w = max(band, ||A| − |B||)`
+/// (widening to the length difference keeps an alignment path
+/// feasible).
 ///
-/// Returns `Some(d)` with the exact (banded) DTW when it is computed to
-/// completion, or `None` as soon as some DP row's minimum exceeds
-/// `cutoff` — every alignment path crosses every row and per-cell costs
-/// are non-negative, so the final distance is then provably `> cutoff`.
-/// `cutoff = +∞` never abandons.
-pub fn dtw_projected_pruned(
-    a: &ProjectedTraj,
-    b: &ProjectedTraj,
-    band: Option<usize>,
-    cutoff: f64,
-) -> Option<f64> {
+/// Empty inputs: `0` if both are empty, `+∞` if exactly one is.
+pub fn dtw_projected_banded(a: &ProjectedTraj, b: &ProjectedTraj, band: usize) -> f64 {
     let (n, m) = (a.len(), b.len());
     match (n, m) {
-        (0, 0) => return Some(0.0),
-        (0, _) | (_, 0) => return Some(f64::INFINITY),
+        (0, 0) => return 0.0,
+        (0, _) | (_, 0) => return f64::INFINITY,
         _ => {}
     }
-    let w = band.map_or(n.max(m), |bw| bw.max(n.abs_diff(m)));
+    let w = band.max(n.abs_diff(m));
     let (bx, by) = (b.xs(), b.ys());
     let mut prev = vec![f64::INFINITY; m + 1];
     let mut curr = vec![f64::INFINITY; m + 1];
@@ -159,7 +76,6 @@ pub fn dtw_projected_pruned(
         // over the banded window only.
         let mut left = f64::INFINITY;
         let mut diag = prev[lo - 1];
-        let mut row_min = f64::INFINITY;
         for ((out, (&bxj, &byj)), &up) in curr[lo..=hi]
             .iter_mut()
             .zip(bx[lo - 1..hi].iter().zip(&by[lo - 1..hi]))
@@ -170,37 +86,21 @@ pub fn dtw_projected_pruned(
             let cost = dx.mul_add(dx, dy * dy).sqrt();
             let v = cost + up.min(diag).min(left);
             *out = v;
-            row_min = row_min.min(v);
             diag = up;
             left = v;
         }
         if hi < m {
             curr[hi + 1] = f64::INFINITY;
         }
-        if row_min > cutoff {
-            return None;
-        }
         std::mem::swap(&mut prev, &mut curr);
     }
-    Some(prev[m])
-}
-
-/// DTW normalized by the alignment-path lower bound `max(|A|, |B|)`,
-/// giving a length-comparable per-point cost in meters.
-pub fn dtw_normalized(a: &Trajectory, b: &Trajectory) -> f64 {
-    let d = dtw(a, b);
-    let denom = a.len().max(b.len());
-    if denom == 0 {
-        0.0
-    } else {
-        d / denom as f64
-    }
+    prev[m]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traj_data::GpsPoint;
+    use traj_data::{GpsPoint, Trajectory};
 
     fn traj(coords: &[(f64, f64)]) -> Trajectory {
         Trajectory::new(
@@ -213,17 +113,29 @@ mod tests {
         )
     }
 
+    fn project_pair(a: &Trajectory, b: &Trajectory) -> (ProjectedTraj, ProjectedTraj) {
+        let (_, mut ps) = ProjectedTraj::project_all(&[a.clone(), b.clone()]);
+        let pb = ps.pop().expect("two");
+        let pa = ps.pop().expect("two");
+        (pa, pb)
+    }
+
+    fn dtw_pair(a: &Trajectory, b: &Trajectory) -> f64 {
+        let (pa, pb) = project_pair(a, b);
+        dtw_projected(&pa, &pb)
+    }
+
     #[test]
     fn identical_trajectories_have_zero_distance() {
         let t = traj(&[(30.0, 120.0), (30.01, 120.01), (30.02, 120.02)]);
-        assert_eq!(dtw(&t, &t), 0.0);
+        assert_eq!(dtw_pair(&t, &t), 0.0);
     }
 
     #[test]
     fn dtw_is_symmetric() {
         let a = traj(&[(30.0, 120.0), (30.01, 120.0)]);
         let b = traj(&[(30.0, 120.0), (30.005, 120.0), (30.01, 120.0)]);
-        assert!((dtw(&a, &b) - dtw(&b, &a)).abs() < 1e-9);
+        assert!((dtw_pair(&a, &b) - dtw_pair(&b, &a)).abs() < 1e-9);
     }
 
     #[test]
@@ -238,46 +150,33 @@ mod tests {
             (30.04, 120.0),
         ]);
         let far = traj(&[(30.2, 120.2), (30.22, 120.2), (30.24, 120.2)]);
-        assert!(dtw(&sparse, &dense) < dtw(&sparse, &far) / 10.0);
+        assert!(dtw_pair(&sparse, &dense) < dtw_pair(&sparse, &far) / 10.0);
     }
 
     #[test]
     fn single_point_vs_path_accumulates() {
         let single = traj(&[(30.0, 120.0)]);
         let path = traj(&[(30.0, 120.0), (30.0, 120.0)]);
-        assert_eq!(dtw(&single, &path), 0.0);
+        assert_eq!(dtw_pair(&single, &path), 0.0);
     }
 
     #[test]
     fn empty_handling() {
         let e = traj(&[]);
         let t = traj(&[(30.0, 120.0)]);
-        assert_eq!(dtw(&e, &e), 0.0);
-        assert!(dtw(&e, &t).is_infinite());
-    }
-
-    #[test]
-    fn normalized_divides_by_longer_length() {
-        let a = traj(&[(30.0, 120.0), (30.0, 120.0)]);
-        let b = traj(&[(30.01, 120.0)]);
-        let d = dtw(&a, &b);
-        assert!((dtw_normalized(&a, &b) - d / 2.0).abs() < 1e-9);
-    }
-
-    fn project_pair(a: &Trajectory, b: &Trajectory) -> (ProjectedTraj, ProjectedTraj) {
-        let (_, mut ps) = ProjectedTraj::project_all(&[a.clone(), b.clone()]);
-        let pb = ps.pop().expect("two");
-        let pa = ps.pop().expect("two");
-        (pa, pb)
+        assert_eq!(dtw_pair(&e, &e), 0.0);
+        assert!(dtw_pair(&e, &t).is_infinite());
     }
 
     #[test]
     fn projected_matches_reference_within_projection_tolerance() {
-        let a = traj(&[(30.0, 120.0), (30.01, 120.02), (30.02, 120.01)]);
+        // One point against two: the only alignment matches the single
+        // point with both, so DTW is the sum of two ground distances.
+        let a = traj(&[(30.0, 120.0)]);
         let b = traj(&[(30.005, 120.0), (30.015, 120.015)]);
-        let (pa, pb) = project_pair(&a, &b);
-        let reference = dtw(&a, &b);
-        let projected = dtw_projected(&pa, &pb);
+        let reference =
+            a.points[0].haversine_m(&b.points[0]) + a.points[0].haversine_m(&b.points[1]);
+        let projected = dtw_pair(&a, &b);
         assert!(
             (reference - projected).abs() / reference < 1e-3,
             "reference {reference}, projected {projected}"
@@ -290,7 +189,6 @@ mod tests {
         let b = traj(&[(30.0, 120.01), (30.02, 120.01)]);
         let (pa, pb) = project_pair(&a, &b);
         assert_eq!(dtw_projected_banded(&pa, &pb, 10), dtw_projected(&pa, &pb));
-        assert!((dtw_banded(&a, &b, 10) - dtw(&a, &b)).abs() < 1e-9);
     }
 
     #[test]
@@ -307,27 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn pruned_with_infinite_cutoff_is_exact() {
-        let a = traj(&[(30.0, 120.0), (30.01, 120.01), (30.02, 120.0)]);
-        let b = traj(&[(30.0, 120.02), (30.015, 120.01)]);
-        let (pa, pb) = project_pair(&a, &b);
-        assert_eq!(
-            dtw_projected_pruned(&pa, &pb, None, f64::INFINITY),
-            Some(dtw_projected(&pa, &pb))
-        );
-    }
-
-    #[test]
-    fn pruned_abandons_only_above_cutoff() {
-        let a = traj(&[(30.0, 120.0), (30.01, 120.0)]);
-        let b = traj(&[(30.2, 120.2), (30.21, 120.2)]);
-        let (pa, pb) = project_pair(&a, &b);
-        let d = dtw_projected(&pa, &pb);
-        assert_eq!(dtw_projected_pruned(&pa, &pb, None, d), Some(d), "cutoff == d completes");
-        assert_eq!(dtw_projected_pruned(&pa, &pb, None, d * 0.5), None, "cutoff < d abandons");
-    }
-
-    #[test]
     fn projected_empty_conventions() {
         let e = traj(&[]);
         let t = traj(&[(30.0, 120.0)]);
@@ -335,6 +212,6 @@ mod tests {
         assert_eq!(dtw_projected(&pe, &pe), 0.0);
         assert!(dtw_projected(&pe, &pt).is_infinite());
         assert!(dtw_projected_banded(&pt, &pe, 3).is_infinite());
-        assert_eq!(dtw_projected_pruned(&pe, &pe, Some(1), 0.0), Some(0.0));
+        assert_eq!(dtw_projected_banded(&pe, &pe, 1), 0.0);
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! Two points "match" when they are within a spatial threshold `eps_m`;
 //! EDR counts the minimum number of insert/delete/substitute edits needed
-//! to align the sequences under that predicate.
+//! to align the sequences under that predicate. [`edr_projected`] runs
+//! the DP over pre-projected [`ProjectedTraj`] buffers.
 
 use crate::project::ProjectedTraj;
-use traj_data::Trajectory;
 
 /// Raw EDR edit count over pre-projected buffers. The match predicate
 /// compares squared distance against `eps_m²`, so the inner loop has no
-/// trig *and* no square root — [`edr`] stays as the lat/lon oracle.
+/// trig *and* no square root.
 pub fn edr_projected(a: &ProjectedTraj, b: &ProjectedTraj, eps_m: f64) -> f64 {
     let (n, m) = (a.len(), b.len());
     if n == 0 {
@@ -46,54 +46,10 @@ pub fn edr_projected(a: &ProjectedTraj, b: &ProjectedTraj, eps_m: f64) -> f64 {
     prev[m]
 }
 
-/// Projected EDR normalized to `[0, 1]` by the longer sequence length.
-pub fn edr_projected_normalized(a: &ProjectedTraj, b: &ProjectedTraj, eps_m: f64) -> f64 {
-    let denom = a.len().max(b.len());
-    if denom == 0 {
-        0.0
-    } else {
-        edr_projected(a, b, eps_m) / denom as f64
-    }
-}
-
-/// Raw EDR edit count between two trajectories under match threshold
-/// `eps_m` meters.
-pub fn edr(a: &Trajectory, b: &Trajectory, eps_m: f64) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 {
-        return m as f64;
-    }
-    if m == 0 {
-        return n as f64;
-    }
-    let mut prev: Vec<f64> = (0..=m).map(|j| j as f64).collect();
-    let mut curr = vec![0.0f64; m + 1];
-    for i in 1..=n {
-        curr[0] = i as f64;
-        let pa = &a.points[i - 1];
-        for j in 1..=m {
-            let subcost = if pa.euclid_approx_m(&b.points[j - 1]) <= eps_m { 0.0 } else { 1.0 };
-            curr[j] = (prev[j - 1] + subcost).min(prev[j] + 1.0).min(curr[j - 1] + 1.0);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m]
-}
-
-/// EDR normalized to `[0, 1]` by the longer sequence length.
-pub fn edr_normalized(a: &Trajectory, b: &Trajectory, eps_m: f64) -> f64 {
-    let denom = a.len().max(b.len());
-    if denom == 0 {
-        0.0
-    } else {
-        edr(a, b, eps_m) / denom as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traj_data::GpsPoint;
+    use traj_data::{GpsPoint, Trajectory};
 
     fn traj(coords: &[(f64, f64)]) -> Trajectory {
         Trajectory::new(
@@ -106,10 +62,15 @@ mod tests {
         )
     }
 
+    fn edr_pair(a: &Trajectory, b: &Trajectory, eps_m: f64) -> f64 {
+        let (_, ps) = ProjectedTraj::project_all(&[a.clone(), b.clone()]);
+        edr_projected(&ps[0], &ps[1], eps_m)
+    }
+
     #[test]
     fn identical_is_zero() {
         let t = traj(&[(30.0, 120.0), (30.01, 120.01)]);
-        assert_eq!(edr(&t, &t, 50.0), 0.0);
+        assert_eq!(edr_pair(&t, &t, 50.0), 0.0);
     }
 
     #[test]
@@ -117,23 +78,23 @@ mod tests {
         let a = traj(&[(30.0, 120.0), (30.0, 120.001)]);
         let b = traj(&[(31.0, 121.0), (31.0, 121.001), (31.0, 121.002)]);
         // Optimal alignment: substitute 2, insert 1 => 3 = max(|a|, |b|).
-        assert_eq!(edr(&a, &b, 10.0), 3.0);
+        assert_eq!(edr_pair(&a, &b, 10.0), 3.0);
     }
 
     #[test]
     fn empty_cases() {
         let e = traj(&[]);
         let t = traj(&[(30.0, 120.0), (30.0, 120.01)]);
-        assert_eq!(edr(&e, &t, 10.0), 2.0);
-        assert_eq!(edr(&t, &e, 10.0), 2.0);
-        assert_eq!(edr(&e, &e, 10.0), 0.0);
+        assert_eq!(edr_pair(&e, &t, 10.0), 2.0);
+        assert_eq!(edr_pair(&t, &e, 10.0), 2.0);
+        assert_eq!(edr_pair(&e, &e, 10.0), 0.0);
     }
 
     #[test]
     fn symmetric() {
         let a = traj(&[(30.0, 120.0), (30.005, 120.0), (30.01, 120.0)]);
         let b = traj(&[(30.0, 120.002), (30.01, 120.002)]);
-        assert_eq!(edr(&a, &b, 300.0), edr(&b, &a, 300.0));
+        assert_eq!(edr_pair(&a, &b, 300.0), edr_pair(&b, &a, 300.0));
     }
 
     #[test]
@@ -141,22 +102,14 @@ mod tests {
         // ~222 m apart in longitude.
         let a = traj(&[(30.0, 120.0)]);
         let b = traj(&[(30.0, 120.00231)]);
-        assert_eq!(edr(&a, &b, 100.0), 1.0, "below threshold: substitution");
-        assert_eq!(edr(&a, &b, 400.0), 0.0, "above threshold: match");
-    }
-
-    #[test]
-    fn normalized_is_in_unit_interval() {
-        let a = traj(&[(30.0, 120.0), (30.1, 120.1)]);
-        let b = traj(&[(31.0, 121.0)]);
-        let d = edr_normalized(&a, &b, 50.0);
-        assert!((0.0..=1.0).contains(&d));
+        assert_eq!(edr_pair(&a, &b, 100.0), 1.0, "below threshold: substitution");
+        assert_eq!(edr_pair(&a, &b, 400.0), 0.0, "above threshold: match");
     }
 
     #[test]
     fn dropping_a_point_costs_one_edit() {
         let a = traj(&[(30.0, 120.0), (30.01, 120.0), (30.02, 120.0)]);
         let b = traj(&[(30.0, 120.0), (30.02, 120.0)]);
-        assert_eq!(edr(&a, &b, 50.0), 1.0);
+        assert_eq!(edr_pair(&a, &b, 50.0), 1.0);
     }
 }

@@ -5,11 +5,10 @@
 //! by the paper's `Hausdorff + KM` baseline.
 
 use crate::project::ProjectedTraj;
-use traj_data::Trajectory;
 
-/// Directed Hausdorff over pre-projected buffers, computed entirely in
-/// squared meters (max/min are monotone under squaring) with the same
-/// early-exit as the reference — one square root at the very end, in
+/// Directed Hausdorff `max_{a∈A} min_{b∈B} d(a, b)` over pre-projected
+/// buffers, computed entirely in squared meters (max/min are monotone
+/// under squaring) — one square root at the very end, in
 /// [`hausdorff_projected`].
 pub fn directed_hausdorff_projected_sq(a: &ProjectedTraj, b: &ProjectedTraj) -> f64 {
     if a.is_empty() {
@@ -41,46 +40,14 @@ pub fn directed_hausdorff_projected_sq(a: &ProjectedTraj, b: &ProjectedTraj) -> 
 }
 
 /// Symmetric Hausdorff distance in meters over pre-projected buffers.
-/// [`hausdorff`] stays as the lat/lon oracle.
 pub fn hausdorff_projected(a: &ProjectedTraj, b: &ProjectedTraj) -> f64 {
     directed_hausdorff_projected_sq(a, b).max(directed_hausdorff_projected_sq(b, a)).sqrt()
-}
-
-/// Directed Hausdorff `max_{a∈A} min_{b∈B} d(a, b)` in meters.
-pub fn directed_hausdorff(a: &Trajectory, b: &Trajectory) -> f64 {
-    if a.is_empty() {
-        return 0.0;
-    }
-    if b.is_empty() {
-        return f64::INFINITY;
-    }
-    let mut worst = 0.0f64;
-    for pa in &a.points {
-        let mut best = f64::INFINITY;
-        for pb in &b.points {
-            let d = pa.euclid_approx_m(pb);
-            if d < best {
-                best = d;
-                if best <= worst {
-                    // Early exit: this point can no longer raise the max.
-                    break;
-                }
-            }
-        }
-        worst = worst.max(best);
-    }
-    worst
-}
-
-/// Symmetric Hausdorff distance in meters.
-pub fn hausdorff(a: &Trajectory, b: &Trajectory) -> f64 {
-    directed_hausdorff(a, b).max(directed_hausdorff(b, a))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traj_data::GpsPoint;
+    use traj_data::{GpsPoint, Trajectory};
 
     fn traj(coords: &[(f64, f64)]) -> Trajectory {
         Trajectory::new(
@@ -93,25 +60,31 @@ mod tests {
         )
     }
 
+    fn hausdorff_pair(a: &Trajectory, b: &Trajectory) -> f64 {
+        let (_, ps) = ProjectedTraj::project_all(&[a.clone(), b.clone()]);
+        hausdorff_projected(&ps[0], &ps[1])
+    }
+
     #[test]
     fn identical_zero() {
         let t = traj(&[(30.0, 120.0), (30.01, 120.01)]);
-        assert_eq!(hausdorff(&t, &t), 0.0);
+        assert_eq!(hausdorff_pair(&t, &t), 0.0);
     }
 
     #[test]
     fn symmetric() {
         let a = traj(&[(30.0, 120.0), (30.02, 120.0)]);
         let b = traj(&[(30.0, 120.01)]);
-        assert_eq!(hausdorff(&a, &b), hausdorff(&b, &a));
+        assert_eq!(hausdorff_pair(&a, &b), hausdorff_pair(&b, &a));
     }
 
     #[test]
     fn subset_has_zero_directed_distance() {
         let a = traj(&[(30.0, 120.0)]);
         let b = traj(&[(30.0, 120.0), (30.05, 120.0)]);
-        assert_eq!(directed_hausdorff(&a, &b), 0.0);
-        assert!(directed_hausdorff(&b, &a) > 0.0);
+        let (_, ps) = ProjectedTraj::project_all(&[a, b]);
+        assert_eq!(directed_hausdorff_projected_sq(&ps[0], &ps[1]), 0.0);
+        assert!(directed_hausdorff_projected_sq(&ps[1], &ps[0]) > 0.0);
     }
 
     #[test]
@@ -119,7 +92,7 @@ mod tests {
         // Two parallel 2-point segments offset by ~1112 m of latitude.
         let a = traj(&[(30.0, 120.0), (30.0, 120.01)]);
         let b = traj(&[(30.01, 120.0), (30.01, 120.01)]);
-        let h = hausdorff(&a, &b);
+        let h = hausdorff_pair(&a, &b);
         assert!((h - 1112.0).abs() < 10.0, "got {h}");
     }
 
@@ -128,14 +101,14 @@ mod tests {
         // Hausdorff ignores traversal direction.
         let a = traj(&[(30.0, 120.0), (30.01, 120.0), (30.02, 120.0)]);
         let rev = traj(&[(30.02, 120.0), (30.01, 120.0), (30.0, 120.0)]);
-        assert!(hausdorff(&a, &rev) < 1e-9);
+        assert!(hausdorff_pair(&a, &rev) < 1e-9);
     }
 
     #[test]
     fn empty_conventions() {
         let e = traj(&[]);
         let t = traj(&[(30.0, 120.0)]);
-        assert_eq!(hausdorff(&e, &e), 0.0);
-        assert!(hausdorff(&e, &t).is_infinite());
+        assert_eq!(hausdorff_pair(&e, &e), 0.0);
+        assert!(hausdorff_pair(&e, &t).is_infinite());
     }
 }

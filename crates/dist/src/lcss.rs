@@ -1,22 +1,15 @@
 //! Longest Common SubSequence similarity (Vlachos, Kollios, Gunopulos —
 //! ICDE 2002).
 //!
-//! Points match when within `eps_m` meters (and optionally within `delta`
-//! index positions, the ICDE'02 time-warp constraint). The LCSS *distance*
-//! is `1 − LCSS/min(|A|, |B|)`.
+//! Points match when within `eps_m` meters. The LCSS *distance* is
+//! `1 − LCSS/min(|A|, |B|)`. Both run over pre-projected
+//! [`ProjectedTraj`] buffers.
 
 use crate::project::ProjectedTraj;
-use traj_data::Trajectory;
 
 /// LCSS length over pre-projected buffers: squared distance against
-/// `eps_m²`, no per-cell trig or square root. [`lcss_length`] stays as
-/// the lat/lon oracle.
-pub fn lcss_projected_length(
-    a: &ProjectedTraj,
-    b: &ProjectedTraj,
-    eps_m: f64,
-    delta: Option<usize>,
-) -> usize {
+/// `eps_m²`, no per-cell trig or square root.
+pub fn lcss_projected_length(a: &ProjectedTraj, b: &ProjectedTraj, eps_m: f64) -> usize {
     let (n, m) = (a.len(), b.len());
     if n == 0 || m == 0 {
         return 0;
@@ -28,33 +21,19 @@ pub fn lcss_projected_length(
     for i in 1..=n {
         curr[0] = 0;
         let (ax, ay) = (a.xs()[i - 1], a.ys()[i - 1]);
-        if delta.is_none() {
-            // Unconstrained match predicate: register-carried
-            // curr[j-1]/prev[j-1] over zipped slices, as in
-            // `dtw_projected` — the hot path for full matrices.
-            let mut left = 0usize;
-            let mut diag = prev[0];
-            for ((out, (&bxj, &byj)), &up) in
-                curr[1..].iter_mut().zip(bx.iter().zip(by)).zip(&prev[1..])
-            {
-                let dx = ax - bxj;
-                let dy = ay - byj;
-                let v = if dx.mul_add(dx, dy * dy) <= eps2 { diag + 1 } else { up.max(left) };
-                *out = v;
-                diag = up;
-                left = v;
-            }
-        } else {
-            for j in 1..=m {
-                let within_delta = delta.is_none_or(|d| i.abs_diff(j) <= d);
-                let dx = ax - bx[j - 1];
-                let dy = ay - by[j - 1];
-                if within_delta && dx.mul_add(dx, dy * dy) <= eps2 {
-                    curr[j] = prev[j - 1] + 1;
-                } else {
-                    curr[j] = prev[j].max(curr[j - 1]);
-                }
-            }
+        // Register-carried curr[j-1]/prev[j-1] over zipped slices, as in
+        // `dtw_projected`.
+        let mut left = 0usize;
+        let mut diag = prev[0];
+        for ((out, (&bxj, &byj)), &up) in
+            curr[1..].iter_mut().zip(bx.iter().zip(by)).zip(&prev[1..])
+        {
+            let dx = ax - bxj;
+            let dy = ay - byj;
+            let v = if dx.mul_add(dx, dy * dy) <= eps2 { diag + 1 } else { up.max(left) };
+            *out = v;
+            diag = up;
+            left = v;
         }
         std::mem::swap(&mut prev, &mut curr);
     }
@@ -67,47 +46,13 @@ pub fn lcss_projected_distance(a: &ProjectedTraj, b: &ProjectedTraj, eps_m: f64)
     if denom == 0 {
         return if a.len() == b.len() { 0.0 } else { 1.0 };
     }
-    1.0 - lcss_projected_length(a, b, eps_m, None) as f64 / denom as f64
-}
-
-/// Length of the longest common subsequence under the spatial threshold
-/// `eps_m` and optional index-offset constraint `delta`.
-pub fn lcss_length(a: &Trajectory, b: &Trajectory, eps_m: f64, delta: Option<usize>) -> usize {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 || m == 0 {
-        return 0;
-    }
-    let mut prev = vec![0usize; m + 1];
-    let mut curr = vec![0usize; m + 1];
-    for i in 1..=n {
-        curr[0] = 0;
-        let pa = &a.points[i - 1];
-        for j in 1..=m {
-            let within_delta = delta.is_none_or(|d| i.abs_diff(j) <= d);
-            if within_delta && pa.euclid_approx_m(&b.points[j - 1]) <= eps_m {
-                curr[j] = prev[j - 1] + 1;
-            } else {
-                curr[j] = prev[j].max(curr[j - 1]);
-            }
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m]
-}
-
-/// LCSS distance `1 − LCSS/min(|A|, |B|)`, in `[0, 1]`.
-pub fn lcss_distance(a: &Trajectory, b: &Trajectory, eps_m: f64) -> f64 {
-    let denom = a.len().min(b.len());
-    if denom == 0 {
-        return if a.len() == b.len() { 0.0 } else { 1.0 };
-    }
-    1.0 - lcss_length(a, b, eps_m, None) as f64 / denom as f64
+    1.0 - lcss_projected_length(a, b, eps_m) as f64 / denom as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traj_data::GpsPoint;
+    use traj_data::{GpsPoint, Trajectory};
 
     fn traj(coords: &[(f64, f64)]) -> Trajectory {
         Trajectory::new(
@@ -120,19 +65,36 @@ mod tests {
         )
     }
 
+    fn project_pair(a: &Trajectory, b: &Trajectory) -> (ProjectedTraj, ProjectedTraj) {
+        let (_, mut ps) = ProjectedTraj::project_all(&[a.clone(), b.clone()]);
+        let pb = ps.pop().expect("two");
+        let pa = ps.pop().expect("two");
+        (pa, pb)
+    }
+
+    fn lcss_pair_length(a: &Trajectory, b: &Trajectory, eps_m: f64) -> usize {
+        let (pa, pb) = project_pair(a, b);
+        lcss_projected_length(&pa, &pb, eps_m)
+    }
+
+    fn lcss_pair_distance(a: &Trajectory, b: &Trajectory, eps_m: f64) -> f64 {
+        let (pa, pb) = project_pair(a, b);
+        lcss_projected_distance(&pa, &pb, eps_m)
+    }
+
     #[test]
     fn identical_full_match() {
         let t = traj(&[(30.0, 120.0), (30.01, 120.0), (30.02, 120.0)]);
-        assert_eq!(lcss_length(&t, &t, 10.0, None), 3);
-        assert_eq!(lcss_distance(&t, &t, 10.0), 0.0);
+        assert_eq!(lcss_pair_length(&t, &t, 10.0), 3);
+        assert_eq!(lcss_pair_distance(&t, &t, 10.0), 0.0);
     }
 
     #[test]
     fn disjoint_no_match() {
         let a = traj(&[(30.0, 120.0), (30.01, 120.0)]);
         let b = traj(&[(35.0, 125.0), (35.01, 125.0)]);
-        assert_eq!(lcss_length(&a, &b, 100.0, None), 0);
-        assert_eq!(lcss_distance(&a, &b, 100.0), 1.0);
+        assert_eq!(lcss_pair_length(&a, &b, 100.0), 0);
+        assert_eq!(lcss_pair_distance(&a, &b, 100.0), 1.0);
     }
 
     #[test]
@@ -140,25 +102,16 @@ mod tests {
         // b is a subsampled a => LCSS = |b|, distance 0.
         let a = traj(&[(30.0, 120.0), (30.01, 120.0), (30.02, 120.0), (30.03, 120.0)]);
         let b = traj(&[(30.0, 120.0), (30.02, 120.0)]);
-        assert_eq!(lcss_length(&a, &b, 10.0, None), 2);
-        assert_eq!(lcss_distance(&a, &b, 10.0), 0.0);
-    }
-
-    #[test]
-    fn delta_constraint_blocks_distant_index_matches() {
-        // The matching point sits at index 0 in a and index 3 in b.
-        let a = traj(&[(30.0, 120.0), (31.0, 121.0), (31.1, 121.0), (31.2, 121.0)]);
-        let b = traj(&[(32.0, 122.0), (32.1, 122.0), (32.2, 122.0), (30.0, 120.0)]);
-        assert_eq!(lcss_length(&a, &b, 10.0, None), 1);
-        assert_eq!(lcss_length(&a, &b, 10.0, Some(1)), 0);
+        assert_eq!(lcss_pair_length(&a, &b, 10.0), 2);
+        assert_eq!(lcss_pair_distance(&a, &b, 10.0), 0.0);
     }
 
     #[test]
     fn distance_is_symmetric_and_bounded() {
         let a = traj(&[(30.0, 120.0), (30.005, 120.0), (30.01, 120.0)]);
         let b = traj(&[(30.0, 120.001), (30.01, 120.001)]);
-        let d1 = lcss_distance(&a, &b, 200.0);
-        let d2 = lcss_distance(&b, &a, 200.0);
+        let d1 = lcss_pair_distance(&a, &b, 200.0);
+        let d2 = lcss_pair_distance(&b, &a, 200.0);
         assert!((d1 - d2).abs() < 1e-12);
         assert!((0.0..=1.0).contains(&d1));
     }
@@ -167,7 +120,7 @@ mod tests {
     fn empty_conventions() {
         let e = traj(&[]);
         let t = traj(&[(30.0, 120.0)]);
-        assert_eq!(lcss_distance(&e, &e, 10.0), 0.0);
-        assert_eq!(lcss_distance(&e, &t, 10.0), 1.0);
+        assert_eq!(lcss_pair_distance(&e, &e, 10.0), 0.0);
+        assert_eq!(lcss_pair_distance(&e, &t, 10.0), 1.0);
     }
 }

@@ -6,32 +6,24 @@
 //! [`matrix::DistanceMatrix`] for the O(n²) pairwise computation the
 //! K-Medoids baselines require.
 //!
-//! All metrics use a fast city-scale equirectangular approximation of
-//! geodesic distance between GPS points (validated against haversine in
-//! `traj-data`).
-//!
-//! The hot paths run on [`project::ProjectedTraj`] — trajectories
-//! projected **once** into flat meter buffers (anchored at the dataset
-//! mean latitude) so the O(L²) DP inner loops are trig-free — and the
-//! [`knn`] module answers k-nearest/radius queries through a
-//! lower-bound pruning cascade without materializing the full matrix.
-//! The original lat/lon kernels remain as the tested oracles.
+//! Every kernel runs on [`project::ProjectedTraj`]: trajectories
+//! projected **once** into flat meter buffers under an equirectangular
+//! frame anchored at the dataset mean latitude (validated against
+//! haversine in `traj-data`), so the O(L²) DP inner loops are trig-free.
+//! [`Metric::distance_projected`] is the one dispatch every caller goes
+//! through.
 
 #![warn(missing_docs)]
 
 pub mod dtw;
 pub mod edr;
-pub mod erp;
-pub mod frechet;
 pub mod hausdorff;
-pub mod knn;
 pub mod lcss;
 pub mod matrix;
 pub mod metric;
 pub mod project;
 pub mod telemetry;
 
-pub use knn::{KnnIndex, Neighbor};
 pub use matrix::DistanceMatrix;
 pub use metric::Metric;
-pub use project::{Envelope, ProjectedTraj};
+pub use project::ProjectedTraj;

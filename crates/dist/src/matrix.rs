@@ -128,15 +128,6 @@ impl DistanceMatrix {
         Self { n, data }
     }
 
-    /// Builds a matrix from a precomputed dense buffer.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != n * n`.
-    pub fn from_dense(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "dense buffer must be n²");
-        Self { n, data }
-    }
-
     /// Matrix dimension.
     pub fn len(&self) -> usize {
         self.n
@@ -154,27 +145,11 @@ impl DistanceMatrix {
         self.data[i * self.n + j]
     }
 
-    /// Row `i` as a slice.
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.n..(i + 1) * self.n]
-    }
-
     /// Flat row-major buffer.
     pub fn data(&self) -> &[f64] {
         &self.data
     }
 
-    /// Index of the item with the minimum total distance to all others
-    /// (the 1-medoid). `None` for an empty matrix. Row sums run in
-    /// parallel; ties break toward the lower index, matching the serial
-    /// scan this replaces.
-    pub fn medoid(&self) -> Option<usize> {
-        (0..self.n)
-            .into_par_iter()
-            .map(|i| (self.row(i).iter().sum::<f64>(), i))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(_, i)| i)
-    }
 }
 
 #[cfg(test)]
@@ -209,20 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn medoid_is_most_central() {
-        let ts = vec![traj(0, 30.0), traj(1, 30.02), traj(2, 30.04)];
-        let m = DistanceMatrix::compute(&ts, &Metric::Dtw);
-        assert_eq!(m.medoid(), Some(1));
-    }
-
-    #[test]
-    fn medoid_ties_break_toward_lower_index() {
-        // Two identical rows: both indices have equal row sums.
-        let m = DistanceMatrix::from_dense(3, vec![0.0, 1.0, 2.0, 1.0, 0.0, 2.0, 2.0, 2.0, 0.0]);
-        assert_eq!(m.medoid(), Some(0));
-    }
-
-    #[test]
     fn blocked_tiles_match_serial_projected_reference() {
         // Varied lengths so per-pair cost is uneven, exercising the tile
         // schedule; the result must equal the naive serial double loop
@@ -254,42 +215,6 @@ mod tests {
                         metric.distance_projected(&projected[i], &projected[j])
                     };
                     assert_eq!(m.get(i, j), expect, "{metric:?} ({i}, {j})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn projected_matrix_tracks_latlon_reference_within_tolerance() {
-        let ts: Vec<Trajectory> = (0..6)
-            .map(|i| {
-                Trajectory::new(
-                    i,
-                    (0..8)
-                        .map(|p| {
-                            GpsPoint::new(
-                                30.0 + i as f64 * 0.012 + p as f64 * 2e-4,
-                                120.0 + p as f64 * 1.5e-3,
-                                p as f64,
-                            )
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        for metric in [Metric::Dtw, Metric::Hausdorff, Metric::Erp, Metric::Frechet] {
-            let m = DistanceMatrix::compute(&ts, &metric);
-            for i in 0..ts.len() {
-                for j in 0..ts.len() {
-                    if i == j {
-                        continue;
-                    }
-                    let reference = metric.distance(&ts[i], &ts[j]);
-                    let got = m.get(i, j);
-                    assert!(
-                        (got - reference).abs() <= 1.5e-3 * reference.abs() + 1e-9,
-                        "{metric:?} ({i}, {j}): projected {got} vs reference {reference}"
-                    );
                 }
             }
         }
@@ -333,6 +258,5 @@ mod tests {
     fn empty_matrix() {
         let m = DistanceMatrix::compute(&[], &Metric::Dtw);
         assert!(m.is_empty());
-        assert_eq!(m.medoid(), None);
     }
 }

@@ -1,15 +1,14 @@
 //! Unified metric selector covering the paper's four baseline distances.
 
 use crate::project::ProjectedTraj;
-use crate::{dtw, edr, erp, frechet, hausdorff, lcss};
-use traj_data::Trajectory;
+use crate::{dtw, edr, hausdorff, lcss};
 
 /// The classical trajectory distance metrics evaluated in the paper
 /// (Table III's `EDR + KM`, `LCSS + KM`, `DTW + KM`, `Hausdorff + KM`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Metric {
-    /// Edit Distance on Real sequence; `eps_m` is the match threshold.
-    /// Normalized to `[0, 1]`.
+    /// Edit Distance on Real sequence (raw edit count); `eps_m` is the
+    /// match threshold.
     Edr {
         /// Spatial match threshold in meters.
         eps_m: f64,
@@ -19,11 +18,11 @@ pub enum Metric {
         /// Spatial match threshold in meters.
         eps_m: f64,
     },
-    /// Dynamic Time Warping, normalized per aligned point (meters).
+    /// Dynamic Time Warping: summed alignment cost in meters.
     Dtw,
     /// DTW restricted to a Sakoe–Chiba band of half-width `band` cells
     /// (widened to the length difference when necessary; see
-    /// [`crate::dtw::dtw_banded`]). Opt-in accelerator for the
+    /// [`crate::dtw::dtw_projected_banded`]). Opt-in accelerator for the
     /// scalability sweep: O(L·band) per pair instead of O(L²).
     DtwBanded {
         /// Band half-width in cells.
@@ -31,11 +30,6 @@ pub enum Metric {
     },
     /// Symmetric Hausdorff distance (meters).
     Hausdorff,
-    /// Edit distance with Real Penalty (metric-true edit distance;
-    /// extension beyond the paper's four baselines).
-    Erp,
-    /// Discrete Fréchet distance (extension baseline).
-    Frechet,
 }
 
 impl Metric {
@@ -47,35 +41,17 @@ impl Metric {
             Metric::Dtw => "DTW",
             Metric::DtwBanded { .. } => "DTW-SC",
             Metric::Hausdorff => "Hausdorff",
-            Metric::Erp => "ERP",
-            Metric::Frechet => "Frechet",
         }
     }
 
-    /// Distance between two trajectories.
+    /// Distance between two pre-projected trajectories — the trig-free
+    /// kernels [`crate::DistanceMatrix::compute`] runs on.
     ///
     /// EDR and DTW follow their original (unnormalized) definitions —
     /// Chen et al. (SIGMOD'05) count raw edits and Yi et al. (ICDE'98)
     /// sum raw alignment costs — which makes both length- and
     /// sampling-rate-sensitive, exactly the weakness the E²DTC paper
-    /// calls out in §I. Length-normalized variants are available as
-    /// [`crate::edr::edr_normalized`] / [`crate::dtw::dtw_normalized`].
-    pub fn distance(&self, a: &Trajectory, b: &Trajectory) -> f64 {
-        match *self {
-            Metric::Edr { eps_m } => edr::edr(a, b, eps_m),
-            Metric::Lcss { eps_m } => lcss::lcss_distance(a, b, eps_m),
-            Metric::Dtw => dtw::dtw(a, b),
-            Metric::DtwBanded { band } => dtw::dtw_banded(a, b, band),
-            Metric::Hausdorff => hausdorff::hausdorff(a, b),
-            Metric::Erp => erp::erp_origin(a, b),
-            Metric::Frechet => frechet::frechet(a, b),
-        }
-    }
-
-    /// Distance between two pre-projected trajectories — the trig-free
-    /// kernels [`crate::DistanceMatrix::compute`] and [`crate::knn`] run
-    /// on. Agrees with [`Metric::distance`] to within the equirectangular
-    /// anchor tolerance (< 0.1 % at city scale; see DESIGN.md §12).
+    /// calls out in §I.
     pub fn distance_projected(&self, a: &ProjectedTraj, b: &ProjectedTraj) -> f64 {
         match *self {
             Metric::Edr { eps_m } => edr::edr_projected(a, b, eps_m),
@@ -83,8 +59,6 @@ impl Metric {
             Metric::Dtw => dtw::dtw_projected(a, b),
             Metric::DtwBanded { band } => dtw::dtw_projected_banded(a, b, band),
             Metric::Hausdorff => hausdorff::hausdorff_projected(a, b),
-            Metric::Erp => erp::erp_projected(a, b),
-            Metric::Frechet => frechet::frechet_projected(a, b),
         }
     }
 
@@ -99,7 +73,7 @@ impl Metric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traj_data::GpsPoint;
+    use traj_data::{GpsPoint, Trajectory};
 
     fn traj(lat: f64) -> Trajectory {
         Trajectory::new(
@@ -110,18 +84,18 @@ mod tests {
 
     #[test]
     fn all_metrics_zero_on_identity() {
-        let t = traj(30.0);
+        let (_, ps) = ProjectedTraj::project_all(&[traj(30.0)]);
         for m in Metric::paper_baselines(100.0) {
-            assert_eq!(m.distance(&t, &t), 0.0, "{} not zero on identity", m.name());
+            let d = m.distance_projected(&ps[0], &ps[0]);
+            assert_eq!(d, 0.0, "{} not zero on identity", m.name());
         }
     }
 
     #[test]
     fn all_metrics_positive_on_distinct() {
-        let a = traj(30.0);
-        let b = traj(30.5);
+        let (_, ps) = ProjectedTraj::project_all(&[traj(30.0), traj(30.5)]);
         for m in Metric::paper_baselines(100.0) {
-            assert!(m.distance(&a, &b) > 0.0, "{} zero on distinct", m.name());
+            assert!(m.distance_projected(&ps[0], &ps[1]) > 0.0, "{} zero on distinct", m.name());
         }
     }
 

@@ -1,86 +1,29 @@
 //! Pre-projected trajectories: the input format of the trig-free kernels.
 //!
-//! Every classical metric here is O(|A|·|B|) per pair and O(n²) pairs —
-//! yet the original kernels re-derived an equirectangular frame
-//! (`to_radians`/`cos`/`sqrt`) inside **every DP cell**, recomputing the
-//! same per-trajectory projection O(L²·n²) times. A [`ProjectedTraj`]
-//! does that work exactly once per trajectory: an O(L) projection into
-//! flat structure-of-arrays `x`/`y` meter buffers (anchored at the
-//! dataset mean latitude via [`Projector`]) plus a cached bounding
-//! [`Envelope`]. The DP inner loops over these buffers are branch-light
-//! subtract/FMA arithmetic with zero trig, and the envelopes feed the
-//! pruning cascade in [`crate::knn`].
+//! Every classical metric here is O(|A|·|B|) per pair and O(n²) pairs.
+//! Deriving an equirectangular frame (`to_radians`/`cos`/`sqrt`) inside
+//! every DP cell would recompute the same per-trajectory projection
+//! O(L²·n²) times. A [`ProjectedTraj`] does that work exactly once per
+//! trajectory: an O(L) projection into flat structure-of-arrays `x`/`y`
+//! meter buffers, anchored at the dataset mean latitude via
+//! [`Projector`]. The DP inner loops over these buffers are branch-light
+//! subtract/FMA arithmetic with zero trig.
 
 use traj_data::{Projector, Trajectory};
 
-/// Axis-aligned bounding box of a projected trajectory, in meters.
-///
-/// Empty trajectories carry the inverted infinite box (`min = +∞`,
-/// `max = −∞`); callers that prune on envelopes must handle empties
-/// explicitly before trusting gap values.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Envelope {
-    /// Smallest x (east) coordinate.
-    pub min_x: f64,
-    /// Smallest y (north) coordinate.
-    pub min_y: f64,
-    /// Largest x coordinate.
-    pub max_x: f64,
-    /// Largest y coordinate.
-    pub max_y: f64,
-}
-
-impl Envelope {
-    const EMPTY: Envelope = Envelope {
-        min_x: f64::INFINITY,
-        min_y: f64::INFINITY,
-        max_x: f64::NEG_INFINITY,
-        max_y: f64::NEG_INFINITY,
-    };
-
-    /// Squared minimum distance between this box and `other`
-    /// (0 when they overlap).
-    #[inline]
-    pub fn gap2(&self, other: &Envelope) -> f64 {
-        let dx = (self.min_x - other.max_x).max(other.min_x - self.max_x).max(0.0);
-        let dy = (self.min_y - other.max_y).max(other.min_y - self.max_y).max(0.0);
-        dx * dx + dy * dy
-    }
-
-    /// Squared distance from a point to this box (0 when inside).
-    #[inline]
-    pub fn point_gap2(&self, x: f64, y: f64) -> f64 {
-        let dx = (self.min_x - x).max(x - self.max_x).max(0.0);
-        let dy = (self.min_y - y).max(y - self.max_y).max(0.0);
-        dx * dx + dy * dy
-    }
-}
-
 /// A trajectory projected once into planar meter coordinates, stored as
-/// separate `x`/`y` buffers (SoA) with its bounding envelope.
+/// separate `x`/`y` buffers (SoA).
 #[derive(Clone, Debug)]
 pub struct ProjectedTraj {
     xs: Vec<f64>,
     ys: Vec<f64>,
-    envelope: Envelope,
 }
 
 impl ProjectedTraj {
     /// Projects one trajectory under `projector`.
     pub fn project(t: &Trajectory, projector: &Projector) -> Self {
-        let mut xs = Vec::with_capacity(t.len());
-        let mut ys = Vec::with_capacity(t.len());
-        let mut env = Envelope::EMPTY;
-        for p in &t.points {
-            let (x, y) = projector.project(p);
-            env.min_x = env.min_x.min(x);
-            env.max_x = env.max_x.max(x);
-            env.min_y = env.min_y.min(y);
-            env.max_y = env.max_y.max(y);
-            xs.push(x);
-            ys.push(y);
-        }
-        Self { xs, ys, envelope: env }
+        let (xs, ys) = t.points.iter().map(|p| projector.project(p)).unzip();
+        Self { xs, ys }
     }
 
     /// Projects a whole dataset under its mean-latitude anchor. This is
@@ -116,30 +59,6 @@ impl ProjectedTraj {
     pub fn ys(&self) -> &[f64] {
         &self.ys
     }
-
-    /// Cached bounding envelope.
-    #[inline]
-    pub fn envelope(&self) -> &Envelope {
-        &self.envelope
-    }
-
-    /// Squared distance in m² between point `i` of `self` and point `j`
-    /// of `other` — the trig-free replacement for
-    /// `GpsPoint::euclid_approx_m` inside DP cells.
-    #[inline]
-    pub fn d2(&self, i: usize, other: &ProjectedTraj, j: usize) -> f64 {
-        let dx = self.xs[i] - other.xs[j];
-        let dy = self.ys[i] - other.ys[j];
-        dx.mul_add(dx, dy * dy)
-    }
-
-    /// Squared distance from point `i` to an arbitrary `(x, y)`.
-    #[inline]
-    pub fn d2_to(&self, i: usize, x: f64, y: f64) -> f64 {
-        let dx = self.xs[i] - x;
-        let dy = self.ys[i] - y;
-        dx.mul_add(dx, dy * dy)
-    }
 }
 
 #[cfg(test)]
@@ -163,44 +82,8 @@ mod tests {
         let a = traj(&[(30.0, 120.0), (30.01, 120.02)]);
         let b = traj(&[(30.05, 120.05)]);
         let (projector, ps) = ProjectedTraj::project_all(&[a.clone(), b.clone()]);
-        let d2 = ps[0].d2(1, &ps[1], 0);
+        let d = (ps[0].xs()[1] - ps[1].xs()[0]).hypot(ps[0].ys()[1] - ps[1].ys()[0]);
         let oracle = projector.distance_m(&a.points[1], &b.points[0]);
-        assert!((d2.sqrt() - oracle).abs() < 1e-9, "{} vs {oracle}", d2.sqrt());
-    }
-
-    #[test]
-    fn envelope_bounds_all_points() {
-        let t = traj(&[(30.0, 120.0), (30.02, 120.05), (30.01, 120.01)]);
-        let (_, ps) = ProjectedTraj::project_all(std::slice::from_ref(&t));
-        let e = *ps[0].envelope();
-        for i in 0..ps[0].len() {
-            assert!(ps[0].xs()[i] >= e.min_x && ps[0].xs()[i] <= e.max_x);
-            assert!(ps[0].ys()[i] >= e.min_y && ps[0].ys()[i] <= e.max_y);
-            assert_eq!(e.point_gap2(ps[0].xs()[i], ps[0].ys()[i]), 0.0);
-        }
-    }
-
-    #[test]
-    fn envelope_gap_separates_disjoint_boxes() {
-        let a = traj(&[(30.0, 120.0), (30.01, 120.01)]);
-        let b = traj(&[(30.5, 120.5), (30.51, 120.51)]);
-        let (_, ps) = ProjectedTraj::project_all(&[a, b]);
-        let gap = ps[0].envelope().gap2(ps[1].envelope()).sqrt();
-        assert!(gap > 10_000.0, "boxes ~60 km apart, gap {gap}");
-        // Gap is a lower bound on every cross distance.
-        for i in 0..ps[0].len() {
-            for j in 0..ps[1].len() {
-                assert!(ps[0].d2(i, &ps[1], j) >= gap * gap);
-            }
-        }
-        assert_eq!(ps[0].envelope().gap2(ps[0].envelope()), 0.0);
-    }
-
-    #[test]
-    fn empty_trajectory_has_inverted_envelope() {
-        let (_, ps) = ProjectedTraj::project_all(&[Trajectory::new(0, vec![])]);
-        assert!(ps[0].is_empty());
-        assert_eq!(ps[0].envelope().min_x, f64::INFINITY);
-        assert_eq!(ps[0].envelope().max_x, f64::NEG_INFINITY);
+        assert!((d - oracle).abs() < 1e-9, "{d} vs {oracle}");
     }
 }

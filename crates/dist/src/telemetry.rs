@@ -1,29 +1,19 @@
 //! Telemetry counters for distance computation.
 //!
-//! `dist.pairs` counts pairwise distances the engines set out to
-//! evaluate; `dist.lb_hits` and `dist.pairs_pruned` measure how much of
-//! that work the [`crate::knn`] pruning cascade avoided, so run logs
-//! show pruning effectiveness alongside the raw pair volume.
-//! [`crate::DistanceMatrix::compute`] additionally records a per-pair
-//! latency histogram under `dist.pair_ms` when a sink is installed.
+//! `dist.pairs` counts the pairwise distances
+//! [`crate::DistanceMatrix::compute`] evaluates, which additionally
+//! records a per-pair latency histogram under `dist.pair_ms` when a sink
+//! is installed.
 
 use traj_obs::Counter;
 
 /// Pairwise distances requested from [`crate::DistanceMatrix::compute`]
-/// and the [`crate::knn`] query paths (cumulative over the process).
+/// (cumulative over the process).
 pub static DIST_PAIRS: Counter = Counter::new("dist.pairs");
 
-/// Candidate pairs eliminated by a lower bound alone (envelope gap,
-/// LB_Kim endpoints, or the envelope-sum bound) — no DP cells touched.
-pub static DIST_LB_HITS: Counter = Counter::new("dist.lb_hits");
-
-/// Candidate pairs that never completed a full distance evaluation:
-/// lower-bound eliminations plus early-abandoned DTW computations.
-pub static DIST_PAIRS_PRUNED: Counter = Counter::new("dist.pairs_pruned");
-
 /// Every counter this crate maintains, for bulk snapshotting.
-pub fn counters() -> [&'static Counter; 3] {
-    [&DIST_PAIRS, &DIST_LB_HITS, &DIST_PAIRS_PRUNED]
+pub fn counters() -> [&'static Counter; 1] {
+    [&DIST_PAIRS]
 }
 
 #[cfg(test)]
@@ -33,8 +23,6 @@ mod tests {
     #[test]
     fn counters_are_namespaced() {
         assert_eq!(DIST_PAIRS.name(), "dist.pairs");
-        assert_eq!(DIST_LB_HITS.name(), "dist.lb_hits");
-        assert_eq!(DIST_PAIRS_PRUNED.name(), "dist.pairs_pruned");
-        assert_eq!(counters().len(), 3);
+        assert_eq!(counters().len(), 1);
     }
 }

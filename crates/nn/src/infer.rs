@@ -30,7 +30,7 @@
 //!   literal `(-1.0 * z + 1.0)` for `1 − z` (from `Tape::one_minus`) and
 //!   rounds each product before the final add, and the masked step keeps
 //!   `new ⊙ m + old ⊙ (1.0 − m)` as two separately-rounded products;
-//! * nonlinearities call the same [`fast_sigmoid`]/[`fast_tanh`]
+//! * nonlinearities call the same `fast_sigmoid`/`fast_tanh`
 //!   polynomials.
 //!
 //! Scalar Rust never contracts `a * b + c` into an FMA, so these sequences

@@ -344,7 +344,7 @@ impl Tensor {
 
     /// Matrix product `self @ other`.
     ///
-    /// Register-blocked [`MR`]-row micro-kernel; large products are split
+    /// Register-blocked `MR`-row micro-kernel; large products are split
     /// over output-row blocks on the rayon pool. Per output element the
     /// `k` accumulation order is fixed, so the serial and parallel paths
     /// return bit-identical tensors.
@@ -479,7 +479,7 @@ impl Tensor {
         out
     }
 
-    /// Returns the transpose, copying in [`TRANSPOSE_BLOCK`]-square tiles
+    /// Returns the transpose, copying in `TRANSPOSE_BLOCK`-square tiles
     /// so both the read and write sides stay within a cache-friendly
     /// footprint even for tall or wide matrices.
     pub fn transpose(&self) -> Tensor {

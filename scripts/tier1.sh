@@ -3,22 +3,27 @@
 #
 #   build  — release build of the whole workspace, plus the examples
 #   lint   — clippy over the whole workspace with warnings promoted to errors
+#   doc    — rustdoc over the whole workspace with warnings promoted to
+#            errors, so a doc link left pointing at a deleted or private
+#            item fails
 #   test   — full test suite (unit + integration + proptests + gradchecks +
 #            telemetry no-op-overhead guard + golden-run regression)
 #   fault  — fault-injection integration tests (NaN poisoning, torn/killed
 #            checkpoint saves) behind the e2dtc `fault-injection` feature
 #   bench  — bench_nn, bench_dist and bench_query in --test mode: every
-#            benchmark body runs once so the harnesses, kernels (fused
-#            GRU, projected distance, knn pruning, frozen query engine),
-#            and the references stay compilable and panic-free without
-#            paying for a full measurement run
+#            benchmark body runs once so the harnesses and kernels (fused
+#            GRU, projected distance kernels, frozen query engine) stay
+#            compilable and panic-free without paying for a full
+#            measurement run
 #   e2e    — the end-to-end benchmark's tiny-scale self-test; e2ebench/
 #            is its own package outside the workspace, so this is what
 #            catches an API change that breaks it
 #   smoke  — the CLI end-to-end on a tiny synthetic city: generate →
-#            train (the plain save must carry no gradients and no Adam
-#            state) → embed and assign (both through the frozen encoder
-#            from the checkpoint), whose labels must agree; then a
+#            train on a copy with one `lat` set to null, which must fail
+#            with `error:` → train (the plain save must carry no
+#            gradients and no Adam state) → embed and assign (both
+#            through the frozen encoder from the checkpoint), whose
+#            labels must agree; then a
 #            checkpointed train resumed from its checkpoint directory, and
 #            a resume from the plain save, which must fail with `error:`
 set -euo pipefail
@@ -27,6 +32,7 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo build --examples
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test -q
 cargo test -q -p e2dtc --features fault-injection --test fault_injection
 cargo bench -p e2dtc-bench --bench bench_nn -- --test
@@ -37,6 +43,14 @@ cargo test -q --release --manifest-path e2ebench/Cargo.toml
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 ./target/release/e2dtc generate --kind hangzhou --n 40 --out "$smoke_dir/data.json" --quiet
+jq '.dataset.trajectories[3].points[2].lat = null' "$smoke_dir/data.json" >"$smoke_dir/null_lat.json"
+rc=0
+./target/release/e2dtc train --data "$smoke_dir/null_lat.json" --out "$smoke_dir/null_model.json" \
+    --preset fast --quiet 2>"$smoke_dir/null_err.txt" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q '^error:' "$smoke_dir/null_err.txt"; then
+    echo "tier1: training on a dataset with a null lat must exit 1 with an error (got $rc)" >&2
+    exit 1
+fi
 ./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/model.json" \
     --preset fast --quiet
 if ! tail -n +2 "$smoke_dir/model.json" | jq -e '(.store | has("grads") | not) and .opt == null' >/dev/null; then
