@@ -22,7 +22,7 @@ fn bench_gru_forward(c: &mut Criterion) {
             let mut tape = Tape::new();
             let xv = tape.constant(x.clone());
             let mut state = gru.zero_state(&mut tape, 32);
-            black_box(gru.step(&mut tape, &store, xv, &mut state))
+            black_box(gru.step(&mut tape, &store, xv, &mut state, None))
         })
     });
 }
@@ -41,7 +41,7 @@ fn bench_gru_bptt(c: &mut Criterion) {
             let mut last = None;
             for _ in 0..24 {
                 let xv = tape.constant(x.clone());
-                last = Some(gru.step(&mut tape, &store, xv, &mut state));
+                last = Some(gru.step(&mut tape, &store, xv, &mut state, None));
             }
             let h = last.expect("steps ran");
             let loss = tape.mean_all(h);
@@ -164,7 +164,7 @@ impl UnfusedCell {
         let rh = tape.hadamard(r, hn);
         let n_pre = tape.add(xn, rh);
         let n = tape.tanh(n_pre);
-        let omz = tape.one_minus(z);
+        let omz = tape.affine(z, -1.0, 1.0);
         let a = tape.hadamard(omz, n);
         let b = tape.hadamard(z, h);
         tape.add(a, b)

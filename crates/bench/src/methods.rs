@@ -162,16 +162,10 @@ pub fn run_deep(
     result
 }
 
-/// Inference-only timing: embed + assign with a trained model (the
-/// "once trained, clustering requests are cheap" path of Fig. 3).
-pub fn time_inference(model: &E2dtc, data: &LabeledDataset) -> (Vec<usize>, f64) {
-    let start = Instant::now();
-    let assignments = model.assign(&data.dataset);
-    (assignments, start.elapsed().as_secs_f64())
-}
-
-/// Same timing through the tape-free serve path: a [`QueryEngine`] over a
-/// frozen encoder (what a deployed model would actually run).
+/// Inference-only timing (the "once trained, clustering requests are
+/// cheap" path of Fig. 3) through the tape-free serve path: a
+/// [`QueryEngine`] over a frozen encoder (what a deployed model would
+/// actually run).
 pub fn time_inference_frozen(
     engine: &QueryEngine,
     data: &LabeledDataset,

@@ -19,20 +19,36 @@ struct Contingency {
 }
 
 impl Contingency {
+    /// Builds the table over dense ids, so its size follows the number of
+    /// distinct labels rather than the largest label id. The ids keep the
+    /// labels' order, and UACC, NMI and RI are invariant under relabelling.
     fn build(pred: &[usize], truth: &[usize]) -> Self {
         assert_eq!(pred.len(), truth.len(), "labelings must have equal length");
-        let k_pred = pred.iter().max().map_or(0, |&m| m + 1);
-        let k_true = truth.iter().max().map_or(0, |&m| m + 1);
+        let (pred, k_pred) = dense_ids(pred);
+        let (truth, k_true) = dense_ids(truth);
         let mut table = vec![0usize; k_pred * k_true];
         let mut pred_sizes = vec![0usize; k_pred];
         let mut true_sizes = vec![0usize; k_true];
-        for (&p, &t) in pred.iter().zip(truth) {
+        for (&p, &t) in pred.iter().zip(&truth) {
             table[p * k_true + t] += 1;
             pred_sizes[p] += 1;
             true_sizes[t] += 1;
         }
         Self { table, k_pred, k_true, pred_sizes, true_sizes, n: pred.len() }
     }
+}
+
+/// Maps each label to its rank among the distinct labels, returning the
+/// dense ids and their count.
+fn dense_ids(labels: &[usize]) -> (Vec<usize>, usize) {
+    let mut distinct = labels.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let ids = labels
+        .iter()
+        .map(|l| distinct.binary_search(l).expect("label is among the distinct labels"))
+        .collect();
+    (ids, distinct.len())
 }
 
 /// Unsupervised clustering accuracy (paper Eq. 15): the fraction of items

@@ -69,13 +69,20 @@ fn uacc_and_nmi_of_identical_singleton_labelings_are_perfect() {
 
 #[test]
 fn metrics_tolerate_non_contiguous_cluster_ids() {
-    // Ids with gaps (cluster 1..4 empty): the contingency table grows to
-    // the max id and the Hungarian matrix pads square — no panic.
-    let pred = [0usize, 5, 5, 0];
-    let truth = [0usize, 1, 1, 0];
-    assert_eq!(uacc(&pred, &truth), 1.0);
-    assert!((nmi(&pred, &truth) - 1.0).abs() < 1e-12);
-    assert_eq!(rand_index(&pred, &truth), 1.0);
+    // Ids with gaps: the contingency table is built over dense ids, so its
+    // size follows the number of distinct labels, not the largest id, and
+    // huge ids neither allocate a huge table nor slow the metrics down.
+    for big in [5usize, 1_000_000_000, usize::MAX] {
+        let pred = [0usize, big, big, 0];
+        let truth = [0usize, 1, 1, 0];
+        assert_eq!(uacc(&pred, &truth), 1.0, "pred id {big}");
+        assert!((nmi(&pred, &truth) - 1.0).abs() < 1e-12, "pred id {big}");
+        assert_eq!(rand_index(&pred, &truth), 1.0, "pred id {big}");
+        // The same holds with the huge id on the ground-truth side.
+        assert_eq!(uacc(&truth, &pred), 1.0, "truth id {big}");
+        assert!((nmi(&truth, &pred) - 1.0).abs() < 1e-12, "truth id {big}");
+        assert_eq!(rand_index(&truth, &pred), 1.0, "truth id {big}");
+    }
 }
 
 #[test]

@@ -35,9 +35,12 @@ use traj_cluster::{nmi, rand_index, uacc};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, flags)) = parse(&args) else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
+    let (cmd, flags) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     if let Some(path) = flags.get("log-json") {
         match traj_obs::jsonl_recorder(path) {
@@ -57,11 +60,11 @@ fn main() -> ExitCode {
         "assign" => assign(&flags),
         "embed" => embed(&flags),
         "evaluate" => evaluate(&flags),
-        "help" | "--help" | "-h" => {
+        // `help`, `--help` and `-h`: `parse` rejects every other command.
+        _ => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
     };
     if recorder.enabled() {
         recorder.emit(&traj_obs::Event::RunEnd {
@@ -99,22 +102,56 @@ GLOBAL FLAGS:
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &["quiet"];
 
-fn parse(args: &[String]) -> Option<(String, HashMap<String, String>)> {
-    let cmd = args.first()?.clone();
+/// Flags every command accepts.
+const GLOBAL_FLAGS: &[&str] = &["log-json", "quiet"];
+
+/// The flags `cmd` reads besides [`GLOBAL_FLAGS`]; `None` for an unknown
+/// command.
+fn command_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "generate" => &["kind", "n", "seed", "out"],
+        "train" => &[
+            "data",
+            "out",
+            "preset",
+            "loss",
+            "k",
+            "seed",
+            "checkpoint-dir",
+            "checkpoint-every",
+            "checkpoint-keep",
+            "resume",
+        ],
+        "assign" | "embed" => &["model", "data", "out"],
+        "evaluate" => &["data", "assignments"],
+        "help" | "--help" | "-h" => &[],
+        _ => return None,
+    })
+}
+
+/// Splits the command line into the command and its `--flag value` pairs,
+/// rejecting an unknown command and any flag the command does not read.
+fn parse(args: &[String]) -> Result<(String, HashMap<String, String>), String> {
+    let cmd = args.first().ok_or_else(|| format!("missing command\n{USAGE}"))?.clone();
+    let accepted =
+        command_flags(&cmd).ok_or_else(|| format!("unknown command `{cmd}`\n{USAGE}"))?;
     let mut flags = HashMap::new();
-    let mut i = 1;
-    while i < args.len() {
-        let key = args[i].strip_prefix("--")?;
-        if BOOL_FLAGS.contains(&key) {
-            flags.insert(key.to_string(), "true".to_string());
-            i += 1;
-        } else {
-            let value = args.get(i + 1)?;
-            flags.insert(key.to_string(), value.clone());
-            i += 2;
+    let mut rest = args[1..].iter();
+    while let Some(arg) = rest.next() {
+        let key = arg
+            .strip_prefix("--")
+            .ok_or_else(|| format!("unexpected argument `{arg}` for {cmd}\n{USAGE}"))?;
+        if !accepted.contains(&key) && !GLOBAL_FLAGS.contains(&key) {
+            return Err(format!("unknown flag --{key} for {cmd}"));
         }
+        let value = if BOOL_FLAGS.contains(&key) {
+            "true".to_string()
+        } else {
+            rest.next().ok_or_else(|| format!("missing value for --{key}"))?.clone()
+        };
+        flags.insert(key.to_string(), value);
     }
-    Some((cmd, flags))
+    Ok((cmd, flags))
 }
 
 /// First line of the run log: command, seed, git state, and the raw flag

@@ -9,11 +9,12 @@
 //! and can be shared across threads behind an `Arc` (see the
 //! `traj-query` crate for the batched fan-out engine).
 //!
-//! The forward path is the tape-free eval mirror from
+//! The forward path is the tape-free eval forward from
 //! [`traj_nn::infer`], and it is the only forward that runs without a
 //! backward: serving, `E2dtc::embed_dataset`, and `fit`'s own clustering
-//! passes all go through `embed_tokenized`. It is bit-identical to the
-//! tape's [`Seq2Seq::encode`] (pinned by this module's tests) — the
+//! passes all go through `embed_tokenized`. It runs the same GRU cell
+//! kernel as the tape's [`Seq2Seq::encode`], so the two are bit-identical
+//! by construction (and still compared by this module's tests) — the
 //! contract Algorithm 1 rests on, since Q/P come from these embeddings
 //! while the DEC loss gradients come from the tape's — while skipping all
 //! autograd bookkeeping, including the per-batch clone of every parameter
@@ -22,7 +23,7 @@
 use crate::batcher::length_buckets;
 use crate::config::E2dtcConfig;
 use crate::dec::hard_assignment;
-use crate::seq2seq::Seq2Seq;
+use crate::seq2seq::{row_mask, Seq2Seq};
 use crate::vocab::{Vocab, UNK};
 use traj_data::{Dataset, Grid, Trajectory};
 use traj_nn::infer::Scratch;
@@ -163,7 +164,7 @@ impl FrozenEncoder {
     }
 }
 
-/// Tape-free mirror of [`Seq2Seq::encode`]: runs the masked GRU
+/// Tape-free twin of [`Seq2Seq::encode`]: runs the masked GRU
 /// recurrence over a dense token batch and returns the top-layer final
 /// hidden states `v_T` as a `(batch, hidden)` scratch tensor.
 ///
@@ -187,17 +188,9 @@ pub(crate) fn encode_batch(
         ids.clear();
         ids.extend(seqs.iter().map(|s| s.get(t).copied().unwrap_or(UNK)));
         let x = model.embedding.eval(store, &ids, scratch);
-        if seqs.iter().all(|s| t < s.len()) {
-            model.encoder.eval_step(store, &x, &mut state, scratch);
-        } else {
-            // Mirror of seq2seq::row_mask: active rows 1.0, ended 0.0.
-            let mut mask = scratch.take(batch, hidden);
-            for (i, s) in seqs.iter().enumerate() {
-                if t < s.len() {
-                    mask.row_mut(i).fill(1.0);
-                }
-            }
-            model.encoder.eval_step_masked(store, &x, &mut state, &mask, scratch);
+        let mask = row_mask(seqs, t, hidden, |r, c| scratch.take(r, c));
+        model.encoder.eval_step(store, &x, &mut state, mask.as_ref(), scratch);
+        if let Some(mask) = mask {
             scratch.put(mask);
         }
         scratch.put(x);

@@ -103,13 +103,8 @@ impl Seq2Seq {
             let ids: Vec<usize> =
                 seqs.iter().map(|s| s.get(t).copied().unwrap_or(UNK)).collect();
             let x = self.embedding.forward(tape, store, &ids);
-            let top = if seqs.iter().all(|s| t < s.len()) {
-                self.encoder.step(tape, store, x, &mut state)
-            } else {
-                let mask = row_mask(seqs, t, batch, hidden);
-                self.encoder.step_masked(tape, store, x, &mut state, &mask)
-            };
-            outputs.push(top);
+            let mask = row_mask(seqs, t, hidden, Tensor::zeros);
+            outputs.push(self.encoder.step(tape, store, x, &mut state, mask.as_ref()));
         }
         let repr = *state.last().expect("at least one layer");
         Encoded { state, repr, outputs }
@@ -133,7 +128,6 @@ impl Seq2Seq {
         assert_eq!(init_state.len(), self.decoder.layers(), "state depth mismatch");
         assert!(!targets.is_empty(), "empty batch");
         assert!(targets.iter().all(|s| !s.is_empty()), "empty target in batch");
-        let batch = targets.len();
         let max_len = targets.iter().map(|s| s.len()).max().expect("non-empty");
         let hidden = self.decoder.hidden_dim();
 
@@ -147,12 +141,8 @@ impl Seq2Seq {
                 .map(|s| if t == 0 { BOS } else { s.get(t - 1).copied().unwrap_or(UNK) })
                 .collect();
             let x = self.embedding.forward(tape, store, &ids);
-            let h = if targets.iter().all(|s| t < s.len()) {
-                self.decoder.step(tape, store, x, &mut state)
-            } else {
-                let mask = row_mask(targets, t, batch, hidden);
-                self.decoder.step_masked(tape, store, x, &mut state, &mask)
-            };
+            let mask = row_mask(targets, t, hidden, Tensor::zeros);
+            let h = self.decoder.step(tape, store, x, &mut state, mask.as_ref());
             let h = match &self.attention {
                 Some(attn) => attn.attend(tape, store, h, &encoded.outputs),
                 None => h,
@@ -175,16 +165,25 @@ impl Seq2Seq {
     }
 }
 
-/// `(batch, hidden)` mask whose row `i` is 1.0 iff sequence `i` is still
-/// active at position `t`.
-fn row_mask(seqs: &[&[usize]], t: usize, batch: usize, hidden: usize) -> Tensor {
-    let mut mask = Tensor::zeros(batch, hidden);
+/// The GRU step mask at position `t`: `None` while every sequence is
+/// still active, else a `(batch, hidden)` mask from `zeroed` whose row `i`
+/// is 1.0 iff sequence `i` is still active.
+pub(crate) fn row_mask(
+    seqs: &[&[usize]],
+    t: usize,
+    hidden: usize,
+    zeroed: impl FnOnce(usize, usize) -> Tensor,
+) -> Option<Tensor> {
+    if seqs.iter().all(|s| t < s.len()) {
+        return None;
+    }
+    let mut mask = zeroed(seqs.len(), hidden);
     for (i, s) in seqs.iter().enumerate() {
         if t < s.len() {
             mask.row_mut(i).fill(1.0);
         }
     }
-    mask
+    Some(mask)
 }
 
 #[cfg(test)]

@@ -18,14 +18,6 @@ pub fn t2vec_kmeans(dataset: &Dataset, cfg: E2dtcConfig) -> FitResult {
     model.fit(dataset)
 }
 
-/// Trains t2vec and returns the model itself (for experiments that need
-/// to embed additional datasets with the frozen encoder).
-pub fn t2vec_model(dataset: &Dataset, cfg: E2dtcConfig) -> E2dtc {
-    let mut model = E2dtc::new(dataset, cfg.with_loss_mode(LossMode::L0));
-    let _ = model.pretrain(dataset, model.config().pretrain_epochs);
-    model
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,6 @@
-//! `e2dtc train` with a cluster count outside `1..=|dataset|` must fail
-//! with an error message and exit code 1, not panic.
+//! `e2dtc train` with a cluster count outside `1..=|dataset|`, or with a
+//! flag it does not read, must fail with an error message and exit code
+//! 1, not panic or train with the flag ignored.
 
 use std::process::Command;
 
@@ -36,6 +37,41 @@ fn train_with_out_of_range_k_is_an_error_not_a_panic() {
         );
         assert!(!stderr.contains("panicked"), "{stderr}");
         assert!(!model.exists(), "a failed train must not write a model");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn train_with_an_unknown_flag_is_an_error_and_writes_no_model() {
+    let dir = std::env::temp_dir().join(format!("e2dtc_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let data = dir.join("data.json");
+    let model = dir.join("model.json");
+    let path = |p: &std::path::Path| p.to_str().expect("utf-8 temp path").to_string();
+
+    let status = Command::new(bin())
+        .args(["generate", "--kind", "hangzhou", "--n", "20", "--seed", "5"])
+        .args(["--out", &path(&data), "--quiet"])
+        .status()
+        .expect("launch generate");
+    assert!(status.success(), "generate failed");
+
+    // A misspelled valued flag (`--los` for `--loss`) and a misspelled
+    // bool flag (`--quite` for `--quiet`, last on the line).
+    for (flag, extra) in [("los", Some("l0")), ("quite", None)] {
+        let run = Command::new(bin())
+            .args(["train", "--data", &path(&data), "--out", &path(&model)])
+            .arg(format!("--{flag}"))
+            .args(extra)
+            .output()
+            .expect("launch train");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "--{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: unknown flag --{flag} for train")),
+            "{stderr}"
+        );
+        assert!(!model.exists(), "a rejected train must not write a model");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

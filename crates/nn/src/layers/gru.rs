@@ -11,22 +11,25 @@
 //! h_t = (1 − z_t) ⊙ n_t + z_t ⊙ h_{t-1}
 //! ```
 //!
-//! composed from the primitive tape ops, so the whole recurrence is
-//! differentiated automatically through time (BPTT).
-//!
 //! The three gates share their matmuls: per direction the cell stores one
 //! fused weight `[W_r | W_z | W_n]` of width `3 * hidden`, so a step costs
-//! two matrix products (`x @ W_x`, `h @ W_h`) instead of six, with the
-//! per-gate pre-activations recovered by column slicing (the cuDNN/PyTorch
-//! fused-gate layout). The candidate's recurrent bias lives in the third
-//! block of `b_h` so that `n = tanh(gx_n + r ⊙ gh_n)` keeps the paper's
-//! `r ⊙ (h W_hn + b_hn)` form; the r/z blocks of `b_h` stay zero and fold
-//! into `b_x`.
+//! two matrix products (`x @ W_x`, `h @ W_h`) instead of six (the
+//! cuDNN/PyTorch fused-gate layout). The candidate's recurrent bias lives
+//! in the third block of `b_h` so that `n = tanh(gx_n + r ⊙ gh_n)` keeps
+//! the paper's `r ⊙ (h W_hn + b_hn)` form; the r/z blocks of `b_h` stay
+//! zero and fold into `b_x`.
+//!
+//! The cell's arithmetic is one kernel, `GruCell::forward_into`, which
+//! both [`Gru::eval_step`] and the tape's one node per step
+//! ([`Gru::step`]) call, so the two forwards agree to the bit by
+//! construction; the node's backward is `step_backward` below. A row mask
+//! for variable-length batches is folded in by the same kernel.
 
+use crate::infer::Scratch;
 use crate::init::Init;
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
-use crate::tensor::Tensor;
+use crate::tensor::{fast_sigmoid, fast_tanh, Tensor};
 use rand::Rng;
 
 /// Draws the two fused weights `[W_xr|W_xz|W_xn]` and `[W_hr|W_hz|W_hn]`.
@@ -77,50 +80,41 @@ impl GruCell {
         Self { w_x, w_h, b_x, b_h, input_dim, hidden_dim }
     }
 
-    /// One recurrence step: `(x: (batch, input), h: (batch, hidden)) -> h'`.
+    /// One recurrence step on the tape:
+    /// `(x: (batch, input), h: (batch, hidden)) -> h'`.
     pub fn step(&self, tape: &mut Tape, store: &ParamStore, x: Var, h: Var) -> Var {
-        debug_assert_eq!(tape.value(x).cols(), self.input_dim, "GRU input width mismatch");
-        debug_assert_eq!(tape.value(h).cols(), self.hidden_dim, "GRU hidden width mismatch");
-        crate::telemetry::GRU_CELL_STEPS.inc();
-        let hd = self.hidden_dim;
-
-        // All six per-gate products collapse into two fused matmuls.
-        let w_x = tape.param(store, self.w_x);
-        let w_h = tape.param(store, self.w_h);
-        let b_x = tape.param(store, self.b_x);
-        let b_h = tape.param(store, self.b_h);
-        let gx = tape.matmul(x, w_x);
-        let gx = tape.add_row_broadcast(gx, b_x);
-        let gh = tape.matmul(h, w_h);
-        let gh = tape.add_row_broadcast(gh, b_h);
-
-        // r = σ(gx_r + gh_r), z = σ(gx_z + gh_z)
-        let gx_r = tape.slice_cols(gx, 0, hd);
-        let gh_r = tape.slice_cols(gh, 0, hd);
-        let r_pre = tape.add(gx_r, gh_r);
-        let r = tape.sigmoid(r_pre);
-        let gx_z = tape.slice_cols(gx, hd, 2 * hd);
-        let gh_z = tape.slice_cols(gh, hd, 2 * hd);
-        let z_pre = tape.add(gx_z, gh_z);
-        let z = tape.sigmoid(z_pre);
-
-        // candidate: n = tanh(gx_n + r ⊙ gh_n)
-        let gx_n = tape.slice_cols(gx, 2 * hd, 3 * hd);
-        let gh_n = tape.slice_cols(gh, 2 * hd, 3 * hd);
-        let rh = tape.hadamard(r, gh_n);
-        let n_pre = tape.add(gx_n, rh);
-        let n = tape.tanh(n_pre);
-
-        // h' = (1 - z) ⊙ n + z ⊙ h
-        let one_minus_z = tape.one_minus(z);
-        let a = tape.hadamard(one_minus_z, n);
-        let b = tape.hadamard(z, h);
-        tape.add(a, b)
+        tape.gru_cell(store, self, x, h, None)
     }
 
-    /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
+    /// The cell's arithmetic, shared by the tape and eval forwards. Takes
+    /// zeroed `gx`, `gh` `(batch, 3 * hidden)` and `out` `(batch, hidden)`;
+    /// leaves the gates `[r | z | n]` in `gx`, `h W_h + b_h` in `gh` and `h'`
+    /// in `out`. A `mask` (rows all 1.0 for active sequences, all 0.0 for
+    /// ended ones) folds `out` to `h'·m + h·(1 − m)`, so ended rows keep `h`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn forward_into(
+        &self,
+        store: &ParamStore,
+        x: &Tensor,
+        h: &Tensor,
+        mask: Option<&Tensor>,
+        gx: &mut Tensor,
+        gh: &mut Tensor,
+        out: &mut Tensor,
+    ) {
+        debug_assert_eq!(x.cols(), self.input_dim, "GRU input width mismatch");
+        debug_assert_eq!(h.cols(), self.hidden_dim, "GRU hidden width mismatch");
+        crate::telemetry::GRU_CELL_STEPS.inc();
+        affine_acc(x, store.get(self.w_x), store.get(self.b_x), gx);
+        affine_acc(h, store.get(self.w_h), store.get(self.b_h), gh);
+        for row in 0..x.rows() {
+            gates_row(gx.row_mut(row), gh.row(row), h.row(row), out.row_mut(row));
+        }
+        if let Some(m) = mask {
+            for ((o, &hv), &mv) in out.data_mut().iter_mut().zip(h.data()).zip(m.data()) {
+                *o = *o * mv + hv * (1.0 - mv);
+            }
+        }
     }
 
     /// Hidden-state dimensionality.
@@ -146,6 +140,114 @@ impl GruCell {
     /// Fused `(1, 3 * hidden)` recurrent-side bias `[0|0|b_hn]`.
     pub fn b_h(&self) -> ParamId {
         self.b_h
+    }
+}
+
+/// `out += a W + b`, with the `(1, cols)` bias added to every row. Into a
+/// zeroed `out` this is bit-identical to `matmul` followed by
+/// `add_row_broadcast`, without the two temporaries.
+fn affine_acc(a: &Tensor, w: &Tensor, b: &Tensor, out: &mut Tensor) {
+    a.matmul_acc(w, out);
+    for row in 0..out.rows() {
+        for (d, &bv) in out.row_mut(row).iter_mut().zip(b.data()) {
+            *d += bv;
+        }
+    }
+}
+
+/// One row of [`GruCell::forward_into`], one zipped pass per gate block so
+/// each loop vectorizes. Out of line so its slice arguments are known not
+/// to alias: inlined, the loops got runtime overlap checks and the eval
+/// step ran about 8% slower (batch 32, hidden 48).
+#[inline(never)]
+fn gates_row(gx: &mut [f32], gh: &[f32], h: &[f32], out: &mut [f32]) {
+    let hd = out.len();
+    let (r, rest) = gx.split_at_mut(hd);
+    let (z, n) = rest.split_at_mut(hd);
+    let (gh_r, rest) = gh.split_at(hd);
+    let (gh_z, gh_n) = rest.split_at(hd);
+    for (r, &ghr) in r.iter_mut().zip(gh_r) {
+        *r = fast_sigmoid(*r + ghr);
+    }
+    for (z, &ghz) in z.iter_mut().zip(gh_z) {
+        *z = fast_sigmoid(*z + ghz);
+    }
+    for ((n, &ghn), &r) in n.iter_mut().zip(gh_n).zip(&*r) {
+        *n = fast_tanh(*n + r * ghn);
+    }
+    for (((o, &z), &n), &hv) in out.iter_mut().zip(&*z).zip(&*n).zip(h) {
+        *o = (1.0 - z) * n + z * hv;
+    }
+}
+
+/// Backward of [`GruCell::forward_into`] from `g = ∂L/∂out`, given the
+/// input state `h` and the cached `gates` and `gh`. Returns the `∂L/∂h`
+/// terms through the mask fold (`None` without a mask) and through `z ⊙ h`,
+/// then `∂L/∂(x W_x + b_x)` and `∂L/∂(h W_h + b_h)`. The caller adds the
+/// `h` terms in that order before the `W_h` product, and does the `b_h`/`W_h`
+/// side before the `b_x`/`W_x` side: with the expressions below, that
+/// repeats the rounding of the cell differentiated through primitive tape
+/// ops, so gradients and trained models match that composition to the bit.
+pub(crate) fn step_backward(
+    g: Tensor,
+    h: &Tensor,
+    gates: &Tensor,
+    gh: &Tensor,
+    mask: Option<&Tensor>,
+) -> (Option<Tensor>, Tensor, Tensor, Tensor) {
+    let (batch, hd) = h.shape();
+    let (g, dh_fold) = match mask {
+        Some(m) => (g.hadamard(m), Some(g.zip_map(m, |gv, mv| gv * (1.0 - mv)))),
+        None => (g, None),
+    };
+    let mut dh_update = Tensor::zeros(batch, hd);
+    let mut dgx = Tensor::zeros(batch, 3 * hd);
+    let mut dgh = Tensor::zeros(batch, 3 * hd);
+    for row in 0..batch {
+        let (g, h, gh_n) = (g.row(row), h.row(row), &gh.row(row)[2 * hd..]);
+        let du = dh_update.row_mut(row);
+        backward_row(g, h, gates.row(row), gh_n, du, dgx.row_mut(row), dgh.row_mut(row));
+    }
+    (dh_fold, dh_update, dgx, dgh)
+}
+
+/// One row of [`step_backward`], out of line for the reason [`gates_row`]
+/// is. The r/z blocks of `dgh` equal `dgx`'s. The r block and `dgh` read
+/// `g_npre` back from `dgx`, where it is `0 + g_npre`: that differs only in
+/// the sign of a zero, and a zero product lands in its buffer as +0 anyway.
+#[inline(never)]
+fn backward_row(
+    g: &[f32],
+    h: &[f32],
+    gates: &[f32],
+    gh_n: &[f32],
+    du: &mut [f32],
+    dgx: &mut [f32],
+    dgh: &mut [f32],
+) {
+    let hd = h.len();
+    let (r, rest) = gates.split_at(hd);
+    let (z, n) = rest.split_at(hd);
+    for ((du, &gv), &z) in du.iter_mut().zip(g).zip(z) {
+        *du = gv * z;
+    }
+    let (dx_r, rest) = dgx.split_at_mut(hd);
+    let (dx_z, dx_n) = rest.split_at_mut(hd);
+    // `1 − z` and `a − b` round as the chain's `-1·z + 1` and `a + b·(−1)`
+    // do; the left-to-right product grouping is the chain's and must stay.
+    for (((d, &gv), &z), &n) in dx_n.iter_mut().zip(g).zip(z).zip(n) {
+        *d += gv * (1.0 - z) * (1.0 - n * n);
+    }
+    for ((((d, &gv), &z), &n), &hv) in dx_z.iter_mut().zip(g).zip(z).zip(n).zip(h) {
+        *d += (gv * hv - gv * n) * z * (1.0 - z);
+    }
+    for (((d, &g_npre), &ghn), &r) in dx_r.iter_mut().zip(&*dx_n).zip(gh_n).zip(r) {
+        *d += g_npre * ghn * r * (1.0 - r);
+    }
+    let (dh_rz, dh_n) = dgh.split_at_mut(2 * hd);
+    dh_rz.copy_from_slice(&dgx[..2 * hd]);
+    for ((d, &g_npre), &r) in dh_n.iter_mut().zip(&dgx[2 * hd..]).zip(r) {
+        *d += g_npre * r;
     }
 }
 
@@ -181,11 +283,6 @@ impl Gru {
         self.cells.len()
     }
 
-    /// The per-layer cells, bottom (input-consuming) layer first.
-    pub fn cells(&self) -> &[GruCell] {
-        &self.cells
-    }
-
     /// Hidden dimensionality.
     pub fn hidden_dim(&self) -> usize {
         self.cells[0].hidden_dim()
@@ -199,41 +296,59 @@ impl Gru {
             .collect()
     }
 
-    /// One step through the full stack. `state` holds one hidden Var per
-    /// layer and is updated in place; returns the top layer's new hidden.
-    pub fn step(&self, tape: &mut Tape, store: &ParamStore, x: Var, state: &mut [Var]) -> Var {
-        assert_eq!(state.len(), self.cells.len(), "state/layer count mismatch");
-        let mut input = x;
-        for (l, cell) in self.cells.iter().enumerate() {
-            let h_new = cell.step(tape, store, input, state[l]);
-            state[l] = h_new;
-            input = h_new;
-        }
-        input
-    }
-
-    /// Like [`Gru::step`], but only updates the hidden state of *active*
-    /// batch rows: `mask` is a `(batch, hidden)` tensor whose rows are all
+    /// One step through the full stack on the tape. `state` holds one
+    /// hidden Var per layer and is updated in place; returns the top
+    /// layer's new hidden.
+    ///
+    /// `mask`, when given, is a `(batch, hidden)` tensor whose rows are all
     /// 1.0 for active sequences and all 0.0 for sequences that have already
     /// ended (padding). Ended rows carry their previous hidden state
-    /// forward unchanged, so variable-length sequences can share a batch.
-    pub fn step_masked(
+    /// forward unchanged in every layer, so variable-length sequences can
+    /// share a batch.
+    pub fn step(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         x: Var,
         state: &mut [Var],
-        mask: &Tensor,
+        mask: Option<&Tensor>,
     ) -> Var {
-        let old_state: Vec<Var> = state.to_vec();
-        self.step(tape, store, x, state);
-        let inv = mask.map(|m| 1.0 - m);
-        for (l, old) in old_state.into_iter().enumerate() {
-            let kept_new = tape.mask_mul(state[l], mask.clone());
-            let kept_old = tape.mask_mul(old, inv.clone());
-            state[l] = tape.add(kept_new, kept_old);
+        assert_eq!(state.len(), self.cells.len(), "state/layer count mismatch");
+        let mut input = x;
+        for (cell, h) in self.cells.iter().zip(state.iter_mut()) {
+            *h = tape.gru_cell(store, cell, input, *h, mask);
+            input = *h;
         }
-        state[self.cells.len() - 1]
+        input
+    }
+
+    /// One step through the full stack without a tape: the same kernel as
+    /// [`Gru::step`], on buffers drawn from `scratch`. `state` holds one
+    /// `(batch, hidden)` tensor per layer and is updated in place;
+    /// displaced state buffers go back to `scratch`.
+    pub fn eval_step(
+        &self,
+        store: &ParamStore,
+        x: &Tensor,
+        state: &mut [Tensor],
+        mask: Option<&Tensor>,
+        scratch: &mut Scratch,
+    ) {
+        assert_eq!(state.len(), self.cells.len(), "state/layer count mismatch");
+        let batch = x.rows();
+        for (l, cell) in self.cells.iter().enumerate() {
+            let hd = cell.hidden_dim;
+            let mut gx = scratch.take(batch, 3 * hd);
+            let mut gh = scratch.take(batch, 3 * hd);
+            let mut out = scratch.take(batch, hd);
+            // Layer l reads layer l − 1's state, already stepped.
+            let (below, rest) = state.split_at_mut(l);
+            let input = below.last().unwrap_or(x);
+            cell.forward_into(store, input, &rest[0], mask, &mut gx, &mut gh, &mut out);
+            scratch.put(gx);
+            scratch.put(gh);
+            scratch.put(std::mem::replace(&mut rest[0], out));
+        }
     }
 }
 
@@ -251,7 +366,7 @@ mod tests {
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::zeros(3, 4));
         let mut state = gru.zero_state(&mut tape, 3);
-        let h = gru.step(&mut tape, &store, x, &mut state);
+        let h = gru.step(&mut tape, &store, x, &mut state, None);
         assert_eq!(tape.value(h).shape(), (3, 8));
         assert_eq!(state.len(), 2);
     }
@@ -271,6 +386,24 @@ mod tests {
     }
 
     #[test]
+    fn cell_step_records_one_tape_node() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut store = ParamStore::new();
+        let gru = Gru::new(&mut store, "gru", 2, 3, 1, &mut rng);
+        let mut tape = Tape::new();
+        let x = tape.constant(Tensor::full(2, 2, 0.5));
+        let mut state = gru.zero_state(&mut tape, 2);
+        // The first step also registers the cell's four parameters.
+        gru.step(&mut tape, &store, x, &mut state, None);
+        let before = tape.len();
+        gru.step(&mut tape, &store, x, &mut state, None);
+        assert_eq!(tape.len(), before + 1, "unmasked step");
+        let mask = Tensor::from_rows(&[vec![1.0; 3], vec![0.0; 3]]);
+        gru.step(&mut tape, &store, x, &mut state, Some(&mask));
+        assert_eq!(tape.len(), before + 2, "masked step");
+    }
+
+    #[test]
     fn hidden_state_is_bounded_by_one() {
         // h_t is a convex combination of tanh outputs and previous h, so
         // starting from zero state all activations stay in (-1, 1).
@@ -282,7 +415,7 @@ mod tests {
         let mut last = None;
         for t in 0..10 {
             let x = tape.constant(Tensor::full(2, 3, (t as f32).sin() * 3.0));
-            last = Some(gru.step(&mut tape, &store, x, &mut state));
+            last = Some(gru.step(&mut tape, &store, x, &mut state, None));
         }
         let h = tape.value(last.expect("ran steps"));
         assert!(h.data().iter().all(|&v| v.abs() < 1.0));
@@ -300,7 +433,7 @@ mod tests {
         let mut state = gru.zero_state(&mut tape, 1);
         let last = seq
             .iter()
-            .map(|&x| gru.step(&mut tape, &store, x, &mut state))
+            .map(|&x| gru.step(&mut tape, &store, x, &mut state, None))
             .last()
             .expect("non-empty");
         let loss = tape.mean_all(last);

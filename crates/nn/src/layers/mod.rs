@@ -2,7 +2,7 @@
 
 mod attention;
 mod embedding;
-mod gru;
+pub(crate) mod gru;
 mod linear;
 
 pub use attention::DotAttention;

@@ -10,7 +10,12 @@
 //! Ops are a closed enum (rather than boxed closures) so the backward pass
 //! is a single exhaustive `match` — easy to audit and to test op-by-op with
 //! finite differences (see `crate::gradcheck`).
+//!
+//! One op is fused: a GRU cell step is one node whose value comes from the
+//! kernel the tape-free eval forward runs and whose backward lives beside
+//! that kernel in `layers::gru`.
 
+use crate::layers::{gru, GruCell};
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use std::collections::HashMap;
@@ -49,8 +54,6 @@ enum Op {
     MeanAll(Var),
     /// sum over all elements, producing `(1, 1)`
     SumAll(Var),
-    /// element-wise product with a fixed mask
-    MaskMul { a: Var, mask: Tensor },
     /// row-wise sum: `(r, c) -> (r, 1)`
     RowSum(Var),
     /// row-wise softmax (differentiable; the fused NLL below is preferred
@@ -74,6 +77,19 @@ enum Op {
     /// Triplet margin loss (paper Eq. 13) over row-aligned anchor /
     /// positive / negative matrices; mean over rows.
     Triplet { anchor: Var, positive: Var, negative: Var, active: Vec<bool> },
+    /// One GRU cell step (see [`Tape::gru_cell`]), caching the gates
+    /// `[r | z | n]`, `gh = h W_h + b_h` and the optional row mask.
+    GruCell {
+        x: Var,
+        h: Var,
+        w_x: Var,
+        w_h: Var,
+        b_x: Var,
+        b_h: Var,
+        gates: Tensor,
+        gh: Tensor,
+        mask: Option<Tensor>,
+    },
 }
 
 struct Node {
@@ -182,11 +198,6 @@ impl Tape {
         self.affine(a, s, 0.0)
     }
 
-    /// `1 - a`, element-wise (used by the GRU update gate).
-    pub fn one_minus(&mut self, a: Var) -> Var {
-        self.affine(a, -1.0, 1.0)
-    }
-
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let value = self.value(a).map(crate::tensor::fast_sigmoid);
@@ -223,12 +234,6 @@ impl Tape {
     pub fn sum_all(&mut self, a: Var) -> Var {
         let value = Tensor::from_vec(1, 1, vec![self.value(a).sum()]);
         self.push(value, Op::SumAll(a))
-    }
-
-    /// Element-wise multiply by a fixed (non-differentiable) mask.
-    pub fn mask_mul(&mut self, a: Var, mask: Tensor) -> Var {
-        let value = self.value(a).hadamard(&mask);
-        self.push(value, Op::MaskMul { a, mask })
     }
 
     /// Row-wise sum, producing a `(rows, 1)` column vector.
@@ -313,8 +318,7 @@ impl Tape {
     ///
     /// `v` is the `(n, d)` embedding matrix, `c` the `(k, d)` centroid
     /// matrix, and `p` the fixed `(n, k)` target distribution (computed from
-    /// a detached `Q` via [`target_distribution`]). Returns the scalar loss;
-    /// the forward soft assignment is retrievable with [`Tape::dec_q`].
+    /// a detached `Q` via [`target_distribution`]). Returns the scalar loss.
     pub fn dec_kl(&mut self, v: Var, c: Var, p: Tensor) -> Var {
         let q = student_t_assignment(self.value(v), self.value(c));
         assert_eq!(p.shape(), q.shape(), "P/Q shape mismatch");
@@ -326,17 +330,6 @@ impl Tape {
         }
         let value = Tensor::from_vec(1, 1, vec![loss]);
         self.push(value, Op::DecKl { v, c, p, q })
-    }
-
-    /// The cached soft assignment `Q` of a [`Tape::dec_kl`] node.
-    ///
-    /// # Panics
-    /// Panics if `node` is not a `dec_kl` node.
-    pub fn dec_q(&self, node: Var) -> &Tensor {
-        match &self.nodes[node.0].op {
-            Op::DecKl { q, .. } => q,
-            _ => panic!("dec_q called on a non-DecKl node"),
-        }
     }
 
     /// Triplet margin loss (paper Eq. 13), mean over row-aligned triplets:
@@ -361,6 +354,29 @@ impl Tape {
         }
         let value = Tensor::from_vec(1, 1, vec![loss / rows.max(1) as f32]);
         self.push(value, Op::Triplet { anchor, positive, negative, active })
+    }
+
+    /// One step of `cell` as a single node: registers its parameters
+    /// (`w_x`, `w_h`, `b_x`, `b_h`, in that order) and computes `h'` with the
+    /// kernel [`Gru::eval_step`](crate::layers::Gru::eval_step) runs.
+    pub(crate) fn gru_cell(
+        &mut self,
+        store: &ParamStore,
+        cell: &GruCell,
+        x: Var,
+        h: Var,
+        mask: Option<&Tensor>,
+    ) -> Var {
+        let w_x = self.param(store, cell.w_x());
+        let w_h = self.param(store, cell.w_h());
+        let b_x = self.param(store, cell.b_x());
+        let b_h = self.param(store, cell.b_h());
+        let (batch, hd) = (self.value(h).rows(), cell.hidden_dim());
+        let mut gates = Tensor::zeros(batch, 3 * hd);
+        let mut gh = Tensor::zeros(batch, 3 * hd);
+        let mut out = Tensor::zeros(batch, hd);
+        cell.forward_into(store, self.value(x), self.value(h), mask, &mut gates, &mut gh, &mut out);
+        self.push(out, Op::GruCell { x, h, w_x, w_h, b_x, b_h, gates, gh, mask: mask.cloned() })
     }
 
     /// Reverse pass from a scalar `(1, 1)` loss node.
@@ -391,22 +407,7 @@ impl Tape {
                 Op::Constant => {}
                 Op::Param(id) => store.grad_mut(*id).add_assign(&g),
                 Op::MatMul(a, b) => {
-                    let bt = bt_cache
-                        .entry(b.0)
-                        .or_insert_with(|| self.nodes[b.0].value.transpose());
-                    // Accumulate straight into existing gradient buffers:
-                    // in a recurrence the weight-grad slot exists from the
-                    // first (latest-timestep) step onward, so the other 23
-                    // steps skip a zeroed temporary plus an add pass each.
-                    match &mut grads[a.0] {
-                        Some(existing) => g.matmul_acc(bt, existing),
-                        slot @ None => *slot = Some(g.matmul(bt)),
-                    }
-                    let a_val = &self.nodes[a.0].value;
-                    match &mut grads[b.0] {
-                        Some(existing) => a_val.matmul_tn_acc(&g, existing),
-                        slot @ None => *slot = Some(a_val.matmul_tn(&g)),
-                    }
+                    matmul_backward(&self.nodes, &mut grads, &mut bt_cache, *a, *b, &g);
                 }
                 Op::Add(a, b) => {
                     accumulate_ref(&mut grads, *a, &g);
@@ -480,9 +481,6 @@ impl Tape {
                         Tensor::full(src.rows(), src.cols(), g.get(0, 0)),
                     );
                 }
-                Op::MaskMul { a, mask } => {
-                    accumulate(&mut grads, *a, g.hadamard(mask));
-                }
                 Op::RowSum(a) => {
                     let src = &self.nodes[a.0].value;
                     let mut ga = Tensor::zeros(src.rows(), src.cols());
@@ -528,9 +526,9 @@ impl Tape {
                 }
                 Op::SliceCols { a, start, end } => {
                     // Add into the source's gradient columns in place when
-                    // it already exists; sibling slices of one fused gate
-                    // tensor then share a single full-width buffer instead
-                    // of each materializing a mostly-zero copy.
+                    // it already exists; sibling slices of one tensor then
+                    // share a single full-width buffer instead of each
+                    // materializing a mostly-zero copy.
                     let src = &self.nodes[a.0].value;
                     let ga = grads[a.0].get_or_insert_with(|| {
                         Tensor::zeros(src.rows(), src.cols())
@@ -598,8 +596,45 @@ impl Tape {
                     accumulate(&mut grads, *positive, gp);
                     accumulate(&mut grads, *negative, gn);
                 }
+                Op::GruCell { x, h, w_x, w_h, b_x, b_h, gates, gh, mask } => {
+                    let (dh_fold, dh_update, dgx, dgh) =
+                        gru::step_backward(g, &self.nodes[h.0].value, gates, gh, mask.as_ref());
+                    if let Some(dh_fold) = dh_fold {
+                        accumulate(&mut grads, *h, dh_fold);
+                    }
+                    accumulate(&mut grads, *h, dh_update);
+                    accumulate(&mut grads, *b_h, dgh.sum_rows());
+                    matmul_backward(&self.nodes, &mut grads, &mut bt_cache, *h, *w_h, &dgh);
+                    accumulate(&mut grads, *b_x, dgx.sum_rows());
+                    matmul_backward(&self.nodes, &mut grads, &mut bt_cache, *x, *w_x, &dgx);
+                }
             }
         }
+    }
+}
+
+/// Backward of `a @ b` given `g = ∂L/∂(a @ b)`, using the memoized `bᵀ`.
+fn matmul_backward(
+    nodes: &[Node],
+    grads: &mut [Option<Tensor>],
+    bt_cache: &mut HashMap<usize, Tensor>,
+    a: Var,
+    b: Var,
+    g: &Tensor,
+) {
+    let bt = bt_cache.entry(b.0).or_insert_with(|| nodes[b.0].value.transpose());
+    // Accumulate straight into existing gradient buffers: in a recurrence
+    // the weight-grad slot exists from the first (latest-timestep) step
+    // onward, so the other 23 steps skip a zeroed temporary plus an add
+    // pass each.
+    match &mut grads[a.0] {
+        Some(existing) => g.matmul_acc(bt, existing),
+        slot @ None => *slot = Some(g.matmul(bt)),
+    }
+    let a_val = &nodes[a.0].value;
+    match &mut grads[b.0] {
+        Some(existing) => a_val.matmul_tn_acc(g, existing),
+        slot @ None => *slot = Some(a_val.matmul_tn(g)),
     }
 }
 

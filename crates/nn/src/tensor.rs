@@ -536,14 +536,6 @@ impl Tensor {
         }
     }
 
-    /// In-place `self += scale * other`.
-    pub fn add_scaled(&mut self, other: &Tensor, scale: f32) {
-        assert_eq!(self.shape(), other.shape(), "add_scaled shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
-    }
-
     /// Element-wise sum, returning a new tensor.
     pub fn add(&self, other: &Tensor) -> Tensor {
         self.zip_map(other, |a, b| a + b)
@@ -632,15 +624,6 @@ impl Tensor {
             dst[self.cols..].copy_from_slice(other.row(r));
         }
         out
-    }
-
-    /// Vertical concatenation (stacking rows).
-    pub fn concat_rows(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols, other.cols, "concat_rows col mismatch");
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Tensor { rows: self.rows + other.rows, cols: self.cols, data }
     }
 
     /// Copies the given rows into a new tensor (gather).

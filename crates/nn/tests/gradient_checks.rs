@@ -214,11 +214,61 @@ fn multilayer_gru_bptt_grads() {
         let mut last = None;
         for x in &inputs {
             let xv = tape.constant(x.clone());
-            last = Some(gru.step(tape, store, xv, &mut state));
+            last = Some(gru.step(tape, store, xv, &mut state, None));
         }
         let h = last.expect("non-empty sequence");
         let sq = tape.hadamard(h, h);
         tape.sum_all(sq)
+    });
+}
+
+/// A ragged batch drives `Gru::step` with a mask in which some rows have
+/// ended, so the fused node's fold (`h'·m + h·(1 − m)`) and its carried-
+/// state gradient are checked. The initial states are parameters, so the
+/// gradient that reaches them through the carried rows is checked too.
+#[test]
+fn masked_multilayer_gru_bptt_grads() {
+    let (input, hidden, batch) = (2usize, 3usize, 3usize);
+    let lens = [4usize, 2, 3];
+    let mut rng = StdRng::seed_from_u64(34);
+    let mut store = ParamStore::new();
+    let gru = Gru::new(&mut store, "gru", input, hidden, 2, &mut rng);
+    seeded_param(&mut store, "h0.layer0", batch, hidden, 35);
+    seeded_param(&mut store, "h0.layer1", batch, hidden, 36);
+    let ids: Vec<_> = store.ids().collect();
+    let h0 = [ids[ids.len() - 2], ids[ids.len() - 1]];
+    let max_len = *lens.iter().max().expect("non-empty batch");
+    let inputs: Vec<Tensor> = (0..max_len)
+        .map(|t| Init::Uniform(0.8).tensor(batch, input, &mut StdRng::seed_from_u64(40 + t as u64)))
+        .collect();
+    let masks: Vec<Option<Tensor>> = (0..max_len)
+        .map(|t| {
+            lens.iter().any(|&len| t >= len).then(|| {
+                let rows: Vec<f32> = lens
+                    .iter()
+                    .flat_map(|&len| [if t < len { 1.0 } else { 0.0 }; 3])
+                    .collect();
+                Tensor::from_vec(batch, hidden, rows)
+            })
+        })
+        .collect();
+    assert!(masks.iter().filter(|m| m.is_some()).count() >= 2, "rows must end mid-batch");
+    assert_grads_close(&mut store, EPS, TOL, move |tape, store| {
+        let mut state: Vec<_> = h0.iter().map(|&id| tape.param(store, id)).collect();
+        let mut loss = None;
+        for (x, mask) in inputs.iter().zip(&masks) {
+            let xv = tape.constant(x.clone());
+            let top = gru.step(tape, store, xv, &mut state, mask.as_ref());
+            let sq = tape.hadamard(top, top);
+            let step_loss = tape.sum_all(sq);
+            loss = Some(match loss {
+                Some(acc) => tape.add(acc, step_loss),
+                None => step_loss,
+            });
+        }
+        let bottom = tape.hadamard(state[0], state[0]);
+        let bottom = tape.sum_all(bottom);
+        tape.add(loss.expect("non-empty sequence"), bottom)
     });
 }
 
@@ -381,7 +431,7 @@ fn fused_gru_matches_unfused_reference() {
     let rh = rtape.hadamard(r, hn);
     let n_pre = rtape.add(xn, rh);
     let n = rtape.tanh(n_pre);
-    let omz = rtape.one_minus(z);
+    let omz = rtape.affine(z, -1.0, 1.0);
     let a = rtape.hadamard(omz, n);
     let b = rtape.hadamard(z, hv);
     let h1_ref = rtape.add(a, b);

@@ -21,9 +21,12 @@
 #   smoke  — the CLI end-to-end on a tiny synthetic city: generate →
 #            train on a copy with one `lat` set to null, which must fail
 #            with `error:` → train (the plain save must carry no
-#            gradients and no Adam state) → embed and assign (both
-#            through the frozen encoder from the checkpoint), whose
-#            labels must agree; then a
+#            gradients and no Adam state) → a second train with the same
+#            seed, whose model.json must be byte-identical → embed and
+#            assign (both through the frozen encoder from the
+#            checkpoint), whose labels must agree → evaluate on those
+#            labels with one id set to 1000000, which must finish within
+#            10 s; then a
 #            checkpointed train resumed from its checkpoint directory, and
 #            a resume from the plain save, which must fail with `error:`
 set -euo pipefail
@@ -57,6 +60,12 @@ if ! tail -n +2 "$smoke_dir/model.json" | jq -e '(.store | has("grads") | not) a
     echo "tier1: plain model save carries gradients or optimizer state" >&2
     exit 1
 fi
+./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/model_again.json" \
+    --preset fast --quiet
+if ! cmp -s "$smoke_dir/model.json" "$smoke_dir/model_again.json"; then
+    echo "tier1: two seeded trains of the same city wrote different model.json files" >&2
+    exit 1
+fi
 ./target/release/e2dtc embed --model "$smoke_dir/model.json" --data "$smoke_dir/data.json" \
     --out "$smoke_dir/emb.json" --quiet
 grep -q '"embeddings"' "$smoke_dir/emb.json"
@@ -64,6 +73,12 @@ grep -q '"embeddings"' "$smoke_dir/emb.json"
     --out "$smoke_dir/assign.json" --quiet
 if [ "$(jq -c .assignments "$smoke_dir/emb.json")" != "$(jq -c . "$smoke_dir/assign.json")" ]; then
     echo "tier1: assign labels differ from the assignments embed wrote" >&2
+    exit 1
+fi
+jq '.[0] = 1000000' "$smoke_dir/assign.json" >"$smoke_dir/assign_big_id.json"
+if ! timeout 10 ./target/release/e2dtc evaluate --data "$smoke_dir/data.json" \
+    --assignments "$smoke_dir/assign_big_id.json" --quiet >/dev/null; then
+    echo "tier1: evaluate with a cluster id of 1000000 failed or took over 10 s" >&2
     exit 1
 fi
 ./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/ck_model.json" \
