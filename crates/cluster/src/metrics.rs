@@ -154,27 +154,27 @@ pub fn silhouette(data: &[f32], n: usize, d: usize, labels: &[usize]) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let k = labels.iter().max().map_or(0, |&m| m + 1);
-    let sizes = {
-        let mut s = vec![0usize; k];
-        for &l in labels {
-            s[l] += 1;
-        }
-        s
-    };
+    // Dense ids size the per-cluster tables by the number of distinct
+    // labels, not by the largest label id.
+    let (labels, k) = dense_ids(labels);
+    let mut sizes = vec![0usize; k];
+    for &l in &labels {
+        sizes[l] += 1;
+    }
     let dist = |i: usize, j: usize| -> f64 {
         let a = &data[i * d..(i + 1) * d];
         let b = &data[j * d..(j + 1) * d];
         crate::points::sq_dist(a, b).sqrt()
     };
     let mut total = 0.0;
+    let mut sums = vec![0.0f64; k];
     for i in 0..n {
         let li = labels[i];
         if sizes[li] <= 1 {
             continue; // silhouette 0
         }
         // Mean distance to each cluster.
-        let mut sums = vec![0.0f64; k];
+        sums.fill(0.0);
         for j in 0..n {
             if j != i {
                 sums[labels[j]] += dist(i, j);
@@ -182,7 +182,7 @@ pub fn silhouette(data: &[f32], n: usize, d: usize, labels: &[usize]) -> f64 {
         }
         let a = sums[li] / (sizes[li] - 1) as f64;
         let b = (0..k)
-            .filter(|&c| c != li && sizes[c] > 0)
+            .filter(|&c| c != li)
             .map(|c| sums[c] / sizes[c] as f64)
             .fold(f64::INFINITY, f64::min);
         if b.is_finite() {

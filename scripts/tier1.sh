@@ -29,6 +29,12 @@
 #            10 s; then a
 #            checkpointed train resumed from its checkpoint directory, and
 #            a resume from the plain save, which must fail with `error:`
+#   serial ≡ parallel — a 400-trajectory city, whose vocabulary puts the
+#            decoder products above the parallel matmul threshold (the
+#            smoke city's does not): train and embed once with
+#            RAYON_NUM_THREADS=1 and once on the default pool; the two
+#            model.json files and the two embed outputs must be
+#            byte-identical
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,6 +96,24 @@ rc=0
     --resume "$smoke_dir/model.json" --quiet 2>"$smoke_dir/resume_err.txt" || rc=$?
 if [ "$rc" -ne 1 ] || ! grep -q '^error:' "$smoke_dir/resume_err.txt"; then
     echo "tier1: resuming from a plain model save must exit 1 with an error (got $rc)" >&2
+    exit 1
+fi
+
+./target/release/e2dtc generate --kind hangzhou --n 400 --out "$smoke_dir/city400.json" --quiet
+RAYON_NUM_THREADS=1 ./target/release/e2dtc train --data "$smoke_dir/city400.json" \
+    --out "$smoke_dir/serial.json" --preset fast --quiet
+./target/release/e2dtc train --data "$smoke_dir/city400.json" \
+    --out "$smoke_dir/parallel.json" --preset fast --quiet
+if ! cmp -s "$smoke_dir/serial.json" "$smoke_dir/parallel.json"; then
+    echo "tier1: serial and parallel trains wrote different model.json files" >&2
+    exit 1
+fi
+RAYON_NUM_THREADS=1 ./target/release/e2dtc embed --model "$smoke_dir/serial.json" \
+    --data "$smoke_dir/city400.json" --out "$smoke_dir/serial_emb.json" --quiet
+./target/release/e2dtc embed --model "$smoke_dir/serial.json" \
+    --data "$smoke_dir/city400.json" --out "$smoke_dir/parallel_emb.json" --quiet
+if ! cmp -s "$smoke_dir/serial_emb.json" "$smoke_dir/parallel_emb.json"; then
+    echo "tier1: serial and parallel embed runs wrote different outputs" >&2
     exit 1
 fi
 
