@@ -23,7 +23,7 @@
 use crate::batcher::length_buckets;
 use crate::config::E2dtcConfig;
 use crate::dec::hard_assignment;
-use crate::seq2seq::{row_mask, Seq2Seq};
+use crate::seq2seq::{live_rows, Seq2Seq};
 use crate::vocab::{Vocab, UNK};
 use traj_data::{Dataset, Grid, Trajectory};
 use traj_nn::infer::Scratch;
@@ -164,9 +164,10 @@ impl FrozenEncoder {
     }
 }
 
-/// Tape-free twin of [`Seq2Seq::encode`]: runs the masked GRU
-/// recurrence over a dense token batch and returns the top-layer final
-/// hidden states `v_T` as a `(batch, hidden)` scratch tensor.
+/// Tape-free twin of [`Seq2Seq::encode`]: runs the packed GRU
+/// recurrence (live rows only) over a dense token batch and returns the
+/// top-layer final hidden states `v_T` as a `(batch, hidden)` scratch
+/// tensor.
 ///
 /// # Panics
 /// Panics on an empty batch or an empty sequence.
@@ -180,19 +181,16 @@ pub(crate) fn encode_batch(
     assert!(seqs.iter().all(|s| !s.is_empty()), "empty sequence in batch");
     let batch = seqs.len();
     let max_len = seqs.iter().map(|s| s.len()).max().expect("non-empty batch");
-    let hidden = model.encoder.hidden_dim();
 
     let mut state = model.encoder.eval_zero_state(batch, scratch);
     let mut ids: Vec<usize> = Vec::with_capacity(batch);
+    let mut live_buf = Vec::with_capacity(batch);
     for t in 0..max_len {
         ids.clear();
         ids.extend(seqs.iter().map(|s| s.get(t).copied().unwrap_or(UNK)));
         let x = model.embedding.eval(store, &ids, scratch);
-        let mask = row_mask(seqs, t, hidden, |r, c| scratch.take(r, c));
-        model.encoder.eval_step(store, &x, &mut state, mask.as_ref(), scratch);
-        if let Some(mask) = mask {
-            scratch.put(mask);
-        }
+        let live = live_rows(seqs, t, &mut live_buf);
+        model.encoder.eval_step(store, &x, &mut state, live, scratch);
         scratch.put(x);
     }
     let repr = state.pop().expect("at least one layer");
@@ -256,7 +254,7 @@ mod tests {
         let buckets = length_buckets(&lens, batch_size);
         assert!(
             buckets.iter().any(|b| b.iter().any(|&i| lens[i] != lens[b[0]])),
-            "fixture must contain ragged batches so masked steps run"
+            "fixture must contain ragged batches so packed steps run"
         );
         let mut scratch = Scratch::new();
         let eval =

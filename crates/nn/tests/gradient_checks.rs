@@ -222,10 +222,11 @@ fn multilayer_gru_bptt_grads() {
     });
 }
 
-/// A ragged batch drives `Gru::step` with a mask in which some rows have
-/// ended, so the fused node's fold (`h'·m + h·(1 − m)`) and its carried-
-/// state gradient are checked. The initial states are parameters, so the
-/// gradient that reaches them through the carried rows is checked too.
+/// A ragged batch drives `Gru::step` with live rows, some rows having
+/// ended, so the packed node (live rows computed, ended rows carried) and
+/// its carried-state gradient are checked. The initial states are
+/// parameters, so the gradient that reaches them through the carried rows
+/// is checked too.
 #[test]
 fn masked_multilayer_gru_bptt_grads() {
     let (input, hidden, batch) = (2usize, 3usize, 3usize);
@@ -241,24 +242,20 @@ fn masked_multilayer_gru_bptt_grads() {
     let inputs: Vec<Tensor> = (0..max_len)
         .map(|t| Init::Uniform(0.8).tensor(batch, input, &mut StdRng::seed_from_u64(40 + t as u64)))
         .collect();
-    let masks: Vec<Option<Tensor>> = (0..max_len)
+    let lives: Vec<Option<Vec<usize>>> = (0..max_len)
         .map(|t| {
-            lens.iter().any(|&len| t >= len).then(|| {
-                let rows: Vec<f32> = lens
-                    .iter()
-                    .flat_map(|&len| [if t < len { 1.0 } else { 0.0 }; 3])
-                    .collect();
-                Tensor::from_vec(batch, hidden, rows)
-            })
+            lens.iter()
+                .any(|&len| t >= len)
+                .then(|| (0..batch).filter(|&i| t < lens[i]).collect())
         })
         .collect();
-    assert!(masks.iter().filter(|m| m.is_some()).count() >= 2, "rows must end mid-batch");
+    assert!(lives.iter().filter(|l| l.is_some()).count() >= 2, "rows must end mid-batch");
     assert_grads_close(&mut store, EPS, TOL, move |tape, store| {
         let mut state: Vec<_> = h0.iter().map(|&id| tape.param(store, id)).collect();
         let mut loss = None;
-        for (x, mask) in inputs.iter().zip(&masks) {
+        for (x, live) in inputs.iter().zip(&lives) {
             let xv = tape.constant(x.clone());
-            let top = gru.step(tape, store, xv, &mut state, mask.as_ref());
+            let top = gru.step(tape, store, xv, &mut state, live.as_deref());
             let sq = tape.hadamard(top, top);
             let step_loss = tape.sum_all(sq);
             loss = Some(match loss {
