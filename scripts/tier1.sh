@@ -29,12 +29,14 @@
 #            10 s; then a
 #            checkpointed train resumed from its checkpoint directory, and
 #            a resume from the plain save, which must fail with `error:`
-#   serial ≡ parallel — a 400-trajectory city, whose vocabulary puts the
-#            decoder products above the parallel matmul threshold (the
-#            smoke city's does not): train and embed once with
-#            RAYON_NUM_THREADS=1 and once on the default pool; the two
-#            model.json files and the two embed outputs must be
-#            byte-identical
+#   serial ≡ parallel — train and embed once with RAYON_NUM_THREADS=1
+#            and once on the default pool; the two model.json files and
+#            the two embed outputs must be byte-identical. Twice: on a
+#            400-trajectory city with the fast preset (whose products all
+#            stay under the parallel matmul threshold, so this pins that
+#            thread count changes nothing else), and on the smoke city
+#            with the paper preset, whose GRU and decoder products are
+#            above the threshold and run on the pool
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -99,22 +101,29 @@ if [ "$rc" -ne 1 ] || ! grep -q '^error:' "$smoke_dir/resume_err.txt"; then
     exit 1
 fi
 
+# serial_vs_parallel <data> <preset> <tag>: train and embed at one rayon
+# thread and on the default pool; both file pairs must be byte-identical.
+serial_vs_parallel() {
+    local data="$1" preset="$2" tag="$3"
+    RAYON_NUM_THREADS=1 ./target/release/e2dtc train --data "$data" \
+        --out "$smoke_dir/$tag.serial.json" --preset "$preset" --quiet
+    ./target/release/e2dtc train --data "$data" \
+        --out "$smoke_dir/$tag.parallel.json" --preset "$preset" --quiet
+    if ! cmp -s "$smoke_dir/$tag.serial.json" "$smoke_dir/$tag.parallel.json"; then
+        echo "tier1: serial and parallel $tag trains wrote different model.json files" >&2
+        exit 1
+    fi
+    RAYON_NUM_THREADS=1 ./target/release/e2dtc embed --model "$smoke_dir/$tag.serial.json" \
+        --data "$data" --out "$smoke_dir/$tag.serial_emb.json" --quiet
+    ./target/release/e2dtc embed --model "$smoke_dir/$tag.parallel.json" \
+        --data "$data" --out "$smoke_dir/$tag.parallel_emb.json" --quiet
+    if ! cmp -s "$smoke_dir/$tag.serial_emb.json" "$smoke_dir/$tag.parallel_emb.json"; then
+        echo "tier1: serial and parallel $tag embed runs wrote different outputs" >&2
+        exit 1
+    fi
+}
 ./target/release/e2dtc generate --kind hangzhou --n 400 --out "$smoke_dir/city400.json" --quiet
-RAYON_NUM_THREADS=1 ./target/release/e2dtc train --data "$smoke_dir/city400.json" \
-    --out "$smoke_dir/serial.json" --preset fast --quiet
-./target/release/e2dtc train --data "$smoke_dir/city400.json" \
-    --out "$smoke_dir/parallel.json" --preset fast --quiet
-if ! cmp -s "$smoke_dir/serial.json" "$smoke_dir/parallel.json"; then
-    echo "tier1: serial and parallel trains wrote different model.json files" >&2
-    exit 1
-fi
-RAYON_NUM_THREADS=1 ./target/release/e2dtc embed --model "$smoke_dir/serial.json" \
-    --data "$smoke_dir/city400.json" --out "$smoke_dir/serial_emb.json" --quiet
-./target/release/e2dtc embed --model "$smoke_dir/serial.json" \
-    --data "$smoke_dir/city400.json" --out "$smoke_dir/parallel_emb.json" --quiet
-if ! cmp -s "$smoke_dir/serial_emb.json" "$smoke_dir/parallel_emb.json"; then
-    echo "tier1: serial and parallel embed runs wrote different outputs" >&2
-    exit 1
-fi
+serial_vs_parallel "$smoke_dir/city400.json" fast city400
+serial_vs_parallel "$smoke_dir/data.json" paper paper
 
 echo "tier1: OK"
