@@ -1,6 +1,6 @@
 //! Criterion benches for the serve path: the tape-free
 //! [`FrozenEncoder`](e2dtc::FrozenEncoder) embedding and the
-//! [`QueryEngine`] micro-batch fan-out in serial and parallel modes.
+//! [`QueryEngine`] micro-batch front-end over it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use e2dtc::{E2dtc, E2dtcConfig};
@@ -29,19 +29,9 @@ fn bench_embed_paths(c: &mut Criterion) {
     group.bench_function("frozen", |b| {
         b.iter(|| black_box(frozen.embed_dataset(&data)))
     });
-    let serial = QueryEngine::new(
-        frozen.clone(),
-        QueryConfig { batch_size: 32, parallel: false },
-    );
-    group.bench_function("engine_serial", |b| {
-        b.iter(|| black_box(serial.embed_batch(&data.trajectories)))
-    });
-    let parallel = QueryEngine::new(
-        frozen.clone(),
-        QueryConfig { batch_size: 32, parallel: true },
-    );
-    group.bench_function("engine_parallel", |b| {
-        b.iter(|| black_box(parallel.embed_batch(&data.trajectories)))
+    let engine = QueryEngine::new(frozen, QueryConfig { batch_size: 32 });
+    group.bench_function("engine", |b| {
+        b.iter(|| black_box(engine.embed_batch(&data.trajectories)))
     });
     group.finish();
 }

@@ -249,8 +249,12 @@ fn train(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("checkpoint-keep")
         .map_or(Ok(2), |v| v.parse().map_err(|e| format!("{e}")))?;
     let ckpt_dir = flags.get("checkpoint-dir").cloned();
-    if ckpt_dir.is_none() && ckpt_every > 0 {
-        return Err("--checkpoint-every requires --checkpoint-dir".into());
+    if ckpt_dir.is_none() {
+        for flag in ["checkpoint-every", "checkpoint-keep"] {
+            if flags.contains_key(flag) {
+                return Err(format!("--{flag} requires --checkpoint-dir"));
+            }
+        }
     }
     if let Some(dir) = &ckpt_dir {
         cfg = cfg.with_checkpointing(dir.clone(), ckpt_every.max(1));
@@ -271,7 +275,7 @@ fn train(flags: &HashMap<String, String>) -> Result<(), String> {
             }
             recorder.info(msg);
             let mut model = model;
-            if ckpt_dir.is_some() || ckpt_every > 0 {
+            if ckpt_dir.is_some() {
                 model.set_checkpoint_policy(ckpt_dir.clone(), ckpt_every.max(1), ckpt_keep);
             }
             model

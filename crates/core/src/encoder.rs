@@ -89,12 +89,7 @@ impl FrozenEncoder {
     /// Tokenizes one trajectory with the training grid/vocabulary
     /// (unknown cells become `UNK`; an empty encoding becomes `[UNK]`).
     pub fn tokenize(&self, traj: &Trajectory) -> Vec<usize> {
-        let seq = self.vocab.encode_trajectory(&self.grid, traj, self.cfg.max_seq_len);
-        if seq.is_empty() {
-            vec![UNK]
-        } else {
-            seq
-        }
+        self.vocab.encode_trajectory(&self.grid, traj, self.cfg.max_seq_len)
     }
 
     /// Encodes one already-tokenized batch, returning the `(batch,

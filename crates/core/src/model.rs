@@ -55,8 +55,7 @@ pub struct E2dtc {
     /// next `fit` call.
     pub(crate) pending: Option<TrainingState>,
     /// Telemetry handle; captured from `traj_obs::global()` at
-    /// construction, overridable via [`E2dtc::set_recorder`]. Never
-    /// serialized.
+    /// construction. Never serialized.
     pub(crate) recorder: traj_obs::Recorder,
     /// Test-only fault-injection plan (see [`crate::fault`]).
     #[cfg(feature = "fault-injection")]
@@ -120,12 +119,6 @@ impl E2dtc {
             #[cfg(feature = "fault-injection")]
             fault: None,
         }
-    }
-
-    /// Replaces the telemetry recorder (models default to the global one
-    /// in force at construction time).
-    pub fn set_recorder(&mut self, recorder: traj_obs::Recorder) {
-        self.recorder = recorder;
     }
 
     /// The configuration in force.

@@ -53,9 +53,9 @@ impl WeightTable {
                 continue;
             }
             let grid_token = vocab.decode(dense).expect("is_cell checked");
-            // k nearest *vocabulary* cells by grid distance. The grid's own
-            // knn_cells returns raw grid tokens which may be unobserved, so
-            // scan the vocabulary instead (|V| is compact).
+            // k nearest *vocabulary* cells by grid distance: a scan of the
+            // observed cells (|V| is compact), so unobserved grid cells
+            // never enter the support.
             let mut cands: Vec<(f64, usize)> = (SPECIALS..size)
                 .map(|other| {
                     let og = vocab.decode(other).expect("cell id");

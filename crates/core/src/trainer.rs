@@ -43,7 +43,6 @@ use crate::batcher::{length_buckets, shuffle_batches};
 use crate::config::LossMode;
 use crate::dec::{hard_assignment, label_change_fraction};
 use crate::model::E2dtc;
-use crate::vocab::UNK;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -721,14 +720,7 @@ impl E2dtc {
         dataset
             .trajectories
             .iter()
-            .map(|t| {
-                let seq = self.vocab.encode_trajectory(&self.grid, t, self.cfg.max_seq_len);
-                if seq.is_empty() {
-                    vec![UNK]
-                } else {
-                    seq
-                }
-            })
+            .map(|t| self.vocab.encode_trajectory(&self.grid, t, self.cfg.max_seq_len))
             .collect()
     }
 
@@ -754,12 +746,11 @@ impl E2dtc {
             let r1 = *pick(&self.cfg.augment.drop_rates, &mut self.rng);
             let r2 = *pick(&self.cfg.augment.distort_rates, &mut self.rng);
             let corrupted = corrupt(t, r1, r2, self.cfg.augment.noise_std_m, &mut self.rng);
-            let mut seq =
-                self.vocab.encode_trajectory(&self.grid, &corrupted, self.cfg.max_seq_len);
-            if seq.is_empty() {
-                seq.push(UNK);
-            }
-            inputs.push(seq);
+            inputs.push(self.vocab.encode_trajectory(
+                &self.grid,
+                &corrupted,
+                self.cfg.max_seq_len,
+            ));
         }
         let targets: Vec<Vec<usize>> =
             batch.iter().map(|&i| self.sequences[i].clone()).collect();
@@ -773,11 +764,6 @@ impl E2dtc {
     /// checkpoint saves consult it. See [`crate::fault`].
     pub fn set_fault_plan(&mut self, plan: crate::fault::FaultPlan) {
         self.fault = Some(plan);
-    }
-
-    /// Removes and returns the installed fault plan.
-    pub fn take_fault_plan(&mut self) -> Option<crate::fault::FaultPlan> {
-        self.fault.take()
     }
 }
 

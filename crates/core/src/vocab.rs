@@ -74,7 +74,8 @@ impl Vocab {
 
     /// Encodes a trajectory into its dense token sequence (consecutive
     /// duplicates collapsed by [`Grid::tokenize`]), uniformly subsampled to
-    /// at most `max_len` tokens.
+    /// at most `max_len` tokens. A trajectory with no points encodes as
+    /// `[UNK]`, so every sequence has at least one token.
     pub fn encode_trajectory(
         &self,
         grid: &Grid,
@@ -82,6 +83,9 @@ impl Vocab {
         max_len: usize,
     ) -> Vec<usize> {
         let toks = grid.tokenize(t);
+        if toks.is_empty() {
+            return vec![UNK];
+        }
         let seq: Vec<usize> = toks.iter().map(|&g| self.encode(g)).collect();
         subsample(seq, max_len)
     }
@@ -160,6 +164,14 @@ mod tests {
         assert!(capped.len() <= 3);
         assert_eq!(capped.first(), full.first());
         assert_eq!(capped.last(), full.last());
+    }
+
+    #[test]
+    fn empty_trajectory_encodes_as_unk() {
+        let (grid, trajs) = fixture();
+        let vocab = Vocab::build(&grid, &trajs);
+        let empty = Trajectory::new(9, Vec::new());
+        assert_eq!(vocab.encode_trajectory(&grid, &empty, 10), vec![UNK]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! `e2dtc train` with a cluster count outside `1..=|dataset|`, or with a
-//! flag it does not read, must fail with an error message and exit code
-//! 1, not panic or train with the flag ignored.
+//! `e2dtc train` with a cluster count outside `1..=|dataset|`, with a
+//! flag it does not read, or with a checkpoint flag but no checkpoint
+//! directory, must fail with an error message and exit code 1, not panic
+//! or train with the flag ignored.
 
 use std::process::Command;
 
@@ -69,6 +70,42 @@ fn train_with_an_unknown_flag_is_an_error_and_writes_no_model() {
         assert_eq!(run.status.code(), Some(1), "--{flag}: {stderr}");
         assert!(
             stderr.contains(&format!("error: unknown flag --{flag} for train")),
+            "{stderr}"
+        );
+        assert!(!model.exists(), "a rejected train must not write a model");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn train_with_checkpoint_keep_but_no_dir_is_an_error() {
+    let dir = std::env::temp_dir().join(format!("e2dtc_cli_keep_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let data = dir.join("data.json");
+    let model = dir.join("model.json");
+    let path = |p: &std::path::Path| p.to_str().expect("utf-8 temp path").to_string();
+
+    let status = Command::new(bin())
+        .args(["generate", "--kind", "hangzhou", "--n", "20", "--seed", "5"])
+        .args(["--out", &path(&data), "--quiet"])
+        .status()
+        .expect("launch generate");
+    assert!(status.success(), "generate failed");
+
+    // Plain and resumed runs alike: the flag is checked before any
+    // checkpoint is read.
+    let resume = path(&dir.join("ck"));
+    for extra in [vec![], vec!["--resume", resume.as_str()]] {
+        let run = Command::new(bin())
+            .args(["train", "--data", &path(&data), "--out", &path(&model)])
+            .args(["--checkpoint-keep", "1", "--quiet"])
+            .args(&extra)
+            .output()
+            .expect("launch train");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains("error: --checkpoint-keep requires --checkpoint-dir"),
             "{stderr}"
         );
         assert!(!model.exists(), "a rejected train must not write a model");

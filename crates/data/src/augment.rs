@@ -100,22 +100,6 @@ pub fn corrupt(
     distort(&down, distort_rate, noise_std_m, rng)
 }
 
-/// Produces the full `(T'_a, T_a)` pair sweep for a trajectory
-/// (16 pairs with the paper's rates).
-pub fn augmentation_pairs(
-    t: &Trajectory,
-    cfg: &AugmentConfig,
-    rng: &mut impl Rng,
-) -> Vec<(Trajectory, Trajectory)> {
-    let mut out = Vec::with_capacity(cfg.pairs_per_trajectory());
-    for &r1 in &cfg.drop_rates {
-        for &r2 in &cfg.distort_rates {
-            out.push((corrupt(t, r1, r2, cfg.noise_std_m, rng), t.clone()));
-        }
-    }
-    out
-}
-
 /// One standard-normal sample (Box–Muller; duplicated from `traj-nn` to
 /// keep the data crate free of the NN dependency).
 fn gaussian(rng: &mut impl Rng) -> f64 {
@@ -196,13 +180,10 @@ mod tests {
 
     #[test]
     fn paper_rate_grid_yields_16_pairs() {
+        assert_eq!(AugmentConfig::default().pairs_per_trajectory(), 16);
+        // The (0, 0) corner of the grid is the identity corruption.
         let mut rng = StdRng::seed_from_u64(5);
         let t = line_traj(30);
-        let pairs = augmentation_pairs(&t, &AugmentConfig::default(), &mut rng);
-        assert_eq!(pairs.len(), 16);
-        // Targets are always the original.
-        assert!(pairs.iter().all(|(_, tgt)| *tgt == t));
-        // The (0, 0) pair is the identity corruption.
-        assert_eq!(pairs[0].0, t);
+        assert_eq!(corrupt(&t, 0.0, 0.0, 50.0, &mut rng), t);
     }
 }

@@ -139,34 +139,6 @@ impl Grid {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// The `k` nearest cells to `token` (by center distance, including the
-    /// cell itself, which is always first). Used to restrict the Eq. 8 loss
-    /// to the neighbourhood of the target cell.
-    pub fn knn_cells(&self, token: usize, k: usize) -> Vec<usize> {
-        let (cx, cy) = self.cell_xy(token);
-        // Search an expanding square ring until we have enough candidates;
-        // radius r rings contain (2r+1)^2 cells.
-        let mut radius = 1usize;
-        while (2 * radius + 1) * (2 * radius + 1) < k.saturating_mul(2) && radius < self.nx + self.ny
-        {
-            radius += 1;
-        }
-        let mut candidates: Vec<(f64, usize)> = Vec::new();
-        let x0 = cx.saturating_sub(radius);
-        let x1 = (cx + radius).min(self.nx - 1);
-        let y0 = cy.saturating_sub(radius);
-        let y1 = (cy + radius).min(self.ny - 1);
-        for y in y0..=y1 {
-            for x in x0..=x1 {
-                let t = y * self.nx + x;
-                candidates.push((self.cell_distance_m(token, t), t));
-            }
-        }
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        candidates.truncate(k);
-        candidates.into_iter().map(|(_, t)| t).collect()
-    }
-
     /// Discretizes a trajectory into its token sequence. Consecutive
     /// duplicate tokens are collapsed (a slow or stopped object otherwise
     /// floods the sequence with repeats that carry no spatial information).
@@ -179,11 +151,6 @@ impl Grid {
             }
         }
         out
-    }
-
-    /// Discretizes a trajectory keeping duplicates (raw token stream).
-    pub fn tokenize_raw(&self, t: &Trajectory) -> Vec<usize> {
-        t.points.iter().map(|p| self.token(p)).collect()
     }
 }
 
@@ -228,27 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn knn_includes_self_first() {
-        let g = grid();
-        let t = g.vocab_size() / 2 + g.nx() / 2;
-        let knn = g.knn_cells(t, 9);
-        assert_eq!(knn.len(), 9);
-        assert_eq!(knn[0], t);
-        // The 8 immediate neighbors are all within sqrt(2) cell sizes.
-        for &n in &knn[1..] {
-            assert!(g.cell_distance_m(t, n) <= g.cell_meters() * 1.5);
-        }
-    }
-
-    #[test]
-    fn knn_near_corner_is_clipped_but_nonempty() {
-        let g = grid();
-        let knn = g.knn_cells(0, 9);
-        assert_eq!(knn.len(), 9);
-        assert_eq!(knn[0], 0);
-    }
-
-    #[test]
     fn tokenize_collapses_consecutive_duplicates() {
         let g = grid();
         let c = g.cell_center(10);
@@ -262,6 +208,5 @@ mod tests {
         );
         let toks = g.tokenize(&t);
         assert_eq!(toks.len(), 2);
-        assert_eq!(g.tokenize_raw(&t).len(), 3);
     }
 }

@@ -1,9 +1,9 @@
 //! Dataset (de)serialization.
 //!
 //! The paper releases its labelled datasets for further research; this
-//! module provides the equivalent: JSON round-tripping of datasets and
-//! labelled datasets, plus per-point CSV export/import for external
-//! tools (QGIS, pandas, …).
+//! module provides the equivalent: JSON round-tripping of labelled
+//! datasets, plus per-point CSV export/import for external tools (QGIS,
+//! pandas, …).
 //!
 //! Nothing here panics on malformed input: every parse failure surfaces
 //! as an [`io::Error`] of kind [`io::ErrorKind::InvalidData`] naming the
@@ -31,30 +31,15 @@ pub fn save_labeled_json(data: &LabeledDataset, path: impl AsRef<Path>) -> io::R
 pub fn load_labeled_json(path: impl AsRef<Path>) -> io::Result<LabeledDataset> {
     let file = BufReader::new(File::open(path)?);
     let data: LabeledDataset = serde_json::from_reader(file).map_err(io::Error::other)?;
-    check_dataset(&data.dataset, Some(&data.labels))?;
-    Ok(data)
-}
-
-/// Saves a raw dataset as pretty JSON.
-pub fn save_dataset_json(data: &Dataset, path: impl AsRef<Path>) -> io::Result<()> {
-    let file = BufWriter::new(File::create(path)?);
-    serde_json::to_writer_pretty(file, data).map_err(io::Error::other)
-}
-
-/// Loads a raw dataset from JSON, rejecting non-finite values and empty
-/// trajectories as [`load_labeled_json`] does.
-pub fn load_dataset_json(path: impl AsRef<Path>) -> io::Result<Dataset> {
-    let file = BufReader::new(File::open(path)?);
-    let data: Dataset = serde_json::from_reader(file).map_err(io::Error::other)?;
-    check_dataset(&data, None)?;
+    check_dataset(&data.dataset, &data.labels)?;
     Ok(data)
 }
 
 /// The rules [`import_labeled_csv`] enforces or gets by construction,
 /// applied to a parsed JSON dataset: every coordinate and time is
-/// finite, every trajectory has a point, and `labels` (when given) has
-/// one entry per trajectory.
-fn check_dataset(data: &Dataset, labels: Option<&[usize]>) -> io::Result<()> {
+/// finite, every trajectory has a point, and `labels` has one entry per
+/// trajectory.
+fn check_dataset(data: &Dataset, labels: &[usize]) -> io::Result<()> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     for t in &data.trajectories {
         if t.points.is_empty() {
@@ -69,14 +54,14 @@ fn check_dataset(data: &Dataset, labels: Option<&[usize]>) -> io::Result<()> {
             }
         }
     }
-    match labels {
-        Some(labels) if labels.len() != data.trajectories.len() => Err(invalid(format!(
+    if labels.len() != data.trajectories.len() {
+        return Err(invalid(format!(
             "{} labels for {} trajectories",
             labels.len(),
             data.trajectories.len()
-        ))),
-        _ => Ok(()),
+        )));
     }
+    Ok(())
 }
 
 /// Exports a labelled dataset as flat CSV
@@ -292,8 +277,6 @@ mod tests {
             let edit = |t: &str| t.replacen(from, to, 1);
             let path = edited_json(&format!("{name}.json"), &sample(), edit);
             assert_invalid(load_labeled_json(&path).expect_err(name), &["trajectory 7", "point 1"]);
-            let path = edited_json(&format!("{name}_dataset.json"), &sample().dataset, edit);
-            assert_invalid(load_dataset_json(&path).expect_err(name), &["trajectory 7", "point 1"]);
         }
     }
 

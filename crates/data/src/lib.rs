@@ -23,7 +23,6 @@ pub mod grid;
 pub mod ground_truth;
 pub mod io;
 pub mod point;
-pub mod preprocess;
 pub mod projection;
 pub mod stats;
 pub mod synth;

@@ -15,7 +15,6 @@
 //!   instrumentation point early-return before taking a timestamp or
 //!   allocating, so instrumented code paths cost one branch
 //!   (`tests/overhead.rs` pins this to < 2% on a micro training loop).
-//! - [`sink::StderrSink`] — human-readable one-liners for interactive runs.
 //! - [`sink::JsonlSink`] — one JSON object per line in the [`event::Event`]
 //!   schema; [`schema::parse_jsonl`] parses and validates a finished log.
 //! - [`sink::MemorySink`] — captures events in memory for tests.
@@ -52,7 +51,7 @@ pub use counter::Counter;
 pub use event::{Event, Level};
 pub use hist::Histogram;
 pub use recorder::{Recorder, Span};
-pub use sink::{JsonlSink, MemorySink, NoopSink, Sink, StderrSink};
+pub use sink::{JsonlSink, MemorySink, NoopSink, Sink};
 
 use std::sync::{Arc, OnceLock, RwLock};
 

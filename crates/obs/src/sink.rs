@@ -1,6 +1,6 @@
 //! Pluggable telemetry sinks.
 
-use crate::event::{Event, Level};
+use crate::event::Event;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -34,65 +34,6 @@ impl Sink for NoopSink {
     }
 
     fn emit(&self, _event: &Event) {}
-}
-
-/// Human-readable one-line-per-event rendering on stderr, for watching a
-/// run interactively without committing to a log file.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StderrSink;
-
-impl Sink for StderrSink {
-    fn emit(&self, event: &Event) {
-        match event {
-            Event::RunHeader { name, seed, git, .. } => {
-                eprintln!("[obs] run {name} seed={seed} git={git}");
-            }
-            Event::SpanOpen { name, .. } => eprintln!("[obs] > {name}"),
-            Event::SpanClose { name, wall_ms, .. } => {
-                eprintln!("[obs] < {name} {wall_ms:.1} ms");
-            }
-            Event::Epoch {
-                phase,
-                epoch,
-                recon_loss,
-                cluster_loss,
-                triplet_loss,
-                grad_norm,
-                lr,
-                label_change,
-                skipped_batches,
-                rollbacks,
-            } => {
-                let churn = label_change
-                    .map(|c| format!(" churn={c:.4}"))
-                    .unwrap_or_default();
-                let faults = if *skipped_batches > 0 || *rollbacks > 0 {
-                    format!(" skipped={skipped_batches} rollbacks={rollbacks}")
-                } else {
-                    String::new()
-                };
-                eprintln!(
-                    "[obs] {phase} epoch {epoch}: L_r={recon_loss:.4} \
-                     L_c={cluster_loss:.4} L_t={triplet_loss:.4} \
-                     |g|={grad_norm:.3} lr={lr:.2e}{churn}{faults}"
-                );
-            }
-            Event::Counter { name, value } => eprintln!("[obs] {name} = {value}"),
-            Event::Histogram { name, count, sum, min, max, .. } => {
-                let mean = if *count > 0 { sum / *count as f64 } else { 0.0 };
-                eprintln!(
-                    "[obs] {name}: n={count} mean={mean:.3} min={min:.3} max={max:.3}"
-                );
-            }
-            Event::Message { level, text } => match level {
-                Level::Info => eprintln!("[obs] {text}"),
-                Level::Warn => eprintln!("[obs] warning: {text}"),
-            },
-            Event::RunEnd { status, wall_ms } => {
-                eprintln!("[obs] run end: {status} ({:.1} s)", wall_ms / 1e3);
-            }
-        }
-    }
 }
 
 /// Appends one JSON object per event to a file — the machine-readable run
@@ -173,38 +114,6 @@ impl Sink for MemorySink {
     }
 }
 
-/// Fans events out to several sinks (e.g. stderr + JSONL).
-pub struct TeeSink {
-    sinks: Vec<std::sync::Arc<dyn Sink>>,
-}
-
-impl TeeSink {
-    /// Combines `sinks`; enabled iff any child is.
-    pub fn new(sinks: Vec<std::sync::Arc<dyn Sink>>) -> Self {
-        Self { sinks }
-    }
-}
-
-impl Sink for TeeSink {
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn emit(&self, event: &Event) {
-        for s in &self.sinks {
-            if s.enabled() {
-                s.emit(event);
-            }
-        }
-    }
-
-    fn flush(&self) {
-        for s in &self.sinks {
-            s.flush();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,14 +151,5 @@ mod tests {
             let _: Event = serde_json::from_str(line).expect("line parses");
         }
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn tee_fans_out_to_enabled_children_only() {
-        let mem = std::sync::Arc::new(MemorySink::new());
-        let tee = TeeSink::new(vec![std::sync::Arc::new(NoopSink), mem.clone()]);
-        assert!(tee.enabled());
-        tee.emit(&Event::Counter { name: "x".into(), value: 7 });
-        assert_eq!(mem.events().len(), 1);
     }
 }

@@ -14,10 +14,11 @@
 //!   by squared distance in representation space.
 //!
 //! Requests are tokenized, length-bucketed into micro-batches (so a
-//! batch pays GRU steps for its longest member only), and — with
-//! [`QueryConfig::parallel`] — fanned across the rayon worker pool. Each
-//! worker thread keeps its own [`Scratch`] buffer pool, so steady-state
-//! queries allocate nothing beyond the output tensor. The forward is the
+//! batch pays GRU steps for its longest member only), and fanned across
+//! the rayon worker pool; a request of at most 16 micro-batches runs
+//! inline on the calling thread, since the pool's scheduling chunk is 16
+//! items. Each worker thread keeps its own [`Scratch`] buffer pool, so
+//! steady-state queries allocate nothing beyond the output tensor. The forward is the
 //! tape-free eval path, bit-identical to the training-path forward;
 //! results are byte-for-byte independent of batch size and thread count.
 //!
@@ -61,14 +62,11 @@ pub struct QueryConfig {
     /// per-step overhead; smaller ones waste less padding on mixed
     /// lengths.
     pub batch_size: usize,
-    /// Fan micro-batches across the rayon worker pool. Results are
-    /// bit-identical either way; this only trades latency for cores.
-    pub parallel: bool,
 }
 
 impl Default for QueryConfig {
     fn default() -> Self {
-        Self { batch_size: 64, parallel: true }
+        Self { batch_size: 64 }
     }
 }
 
@@ -93,11 +91,6 @@ impl QueryEngine {
         &self.encoder
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> QueryConfig {
-        self.cfg
-    }
-
     /// Embeds a batch of trajectories, returning an `(n, hidden)` tensor
     /// aligned with the input order.
     pub fn embed_batch(&self, trajs: &[Trajectory]) -> Tensor {
@@ -107,9 +100,8 @@ impl QueryEngine {
     }
 
     /// Embeds already-tokenized sequences (the batch core of every other
-    /// entry point). Length-buckets into micro-batches, encodes each —
-    /// in parallel when configured — and scatters rows back to input
-    /// order.
+    /// entry point). Length-buckets into micro-batches, encodes them
+    /// across the worker pool and scatters rows back to input order.
     pub fn embed_tokenized(&self, sequences: &[Vec<usize>]) -> Tensor {
         let n = sequences.len();
         let d = self.encoder.repr_dim();
@@ -140,11 +132,7 @@ impl QueryEngine {
             });
             (data, t0.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3))
         };
-        let results: Vec<(Vec<f32>, f64)> = if self.cfg.parallel {
-            batches.par_iter().map(encode).collect()
-        } else {
-            batches.iter().map(encode).collect()
-        };
+        let results: Vec<(Vec<f32>, f64)> = batches.par_iter().map(encode).collect();
 
         let mut hist = timed.then(traj_obs::Histogram::new);
         for (batch, (data, ms)) in batches.iter().zip(results) {
@@ -221,16 +209,13 @@ mod tests {
         let city = tiny_city(30, 3);
         let frozen = frozen_with_centroids(&city);
         let reference = frozen.embed_dataset(&city.dataset);
-        for parallel in [false, true] {
-            let engine = QueryEngine::new(
-                frozen.clone(),
-                QueryConfig { batch_size: 7, parallel },
-            );
-            let got = engine.embed_batch(&city.dataset.trajectories);
-            assert_eq!(got.shape(), reference.shape());
-            for (a, b) in got.data().iter().zip(reference.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "parallel={parallel}");
-            }
+        // One trajectory per micro-batch: 30 batches exceed the pool's
+        // 16-item chunk, so the request is split across worker threads.
+        let engine = QueryEngine::new(frozen, QueryConfig { batch_size: 1 });
+        let got = engine.embed_batch(&city.dataset.trajectories);
+        assert_eq!(got.shape(), reference.shape());
+        for (a, b) in got.data().iter().zip(reference.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -258,8 +243,7 @@ mod tests {
     fn shared_engine_across_threads_matches_single_thread() {
         let city = tiny_city(24, 3);
         let frozen = frozen_with_centroids(&city);
-        let engine =
-            QueryEngine::new(frozen, QueryConfig { batch_size: 5, parallel: false });
+        let engine = QueryEngine::new(frozen, QueryConfig { batch_size: 5 });
         let reference = engine.embed_batch(&city.dataset.trajectories);
         let reference_assign = engine.hard_assign(&city.dataset.trajectories);
 
@@ -289,7 +273,7 @@ mod tests {
         model.init_centroids(&emb);
         let engine = QueryEngine::new(
             Arc::new(model.freeze()),
-            QueryConfig { batch_size: 4, parallel: false },
+            QueryConfig { batch_size: 4 },
         );
         let (t0, b0) = (QUERY_TRAJS.get(), QUERY_BATCHES.get());
         let _ = engine.embed_batch(&city.dataset.trajectories);

@@ -10,11 +10,12 @@
 #            telemetry no-op-overhead guard + golden-run regression)
 #   fault  — fault-injection integration tests (NaN poisoning, torn/killed
 #            checkpoint saves) behind the e2dtc `fault-injection` feature
-#   bench  — bench_nn, bench_dist and bench_query in --test mode: every
-#            benchmark body runs once so the harnesses and kernels (fused
-#            GRU, projected distance kernels, frozen query engine) stay
-#            compilable and panic-free without paying for a full
-#            measurement run
+#   bench  — every criterion bench (bench_nn, bench_dist, bench_query,
+#            bench_cluster, bench_dec, bench_pipeline) in --test mode:
+#            each benchmark body runs once so the harnesses and kernels
+#            (fused GRU, projected distance kernels, frozen query engine,
+#            k-medoids ablation, DEC math, Algorithm 2) stay compilable
+#            and panic-free without paying for a full measurement run
 #   e2e    — the end-to-end benchmark's tiny-scale self-test; e2ebench/
 #            is its own package outside the workspace, so this is what
 #            catches an API change that breaks it
@@ -46,9 +47,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test -q
 cargo test -q -p e2dtc --features fault-injection --test fault_injection
-cargo bench -p e2dtc-bench --bench bench_nn -- --test
-cargo bench -p e2dtc-bench --bench bench_dist -- --test
-cargo bench -p e2dtc-bench --bench bench_query -- --test
+for bench in bench_nn bench_dist bench_query bench_cluster bench_dec bench_pipeline; do
+    cargo bench -p e2dtc-bench --bench "$bench" -- --test
+done
 cargo test -q --release --manifest-path e2ebench/Cargo.toml
 
 smoke_dir="$(mktemp -d)"
