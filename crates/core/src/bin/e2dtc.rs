@@ -19,11 +19,11 @@
 //! (`--loss l0`), `embed` writes embeddings plus labels when centroids
 //! exist; `evaluate` scores assignments with UACC / NMI / RI.
 //!
-//! With `--checkpoint-dir`/`--checkpoint-every`, `train` drops an atomic,
-//! checksummed checkpoint every N epochs; after a crash, rerunning with
-//! `--resume <dir>` continues from the newest usable one (corrupt files
-//! are skipped) and produces the same model the uninterrupted run would
-//! have.
+//! With `--checkpoint-dir`, `train` drops an atomic, checksummed
+//! checkpoint every N epochs (`--checkpoint-every N`, default 1; 0 is
+//! rejected); after a crash, rerunning with `--resume <dir>` continues
+//! from the newest usable one (corrupt files are skipped) and produces
+//! the same model the uninterrupted run would have.
 
 use e2dtc::{E2dtc, E2dtcConfig, FrozenEncoder, LossMode};
 use std::collections::HashMap;
@@ -244,7 +244,10 @@ fn train(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let ckpt_every: usize = flags
         .get("checkpoint-every")
-        .map_or(Ok(0), |v| v.parse().map_err(|e| format!("{e}")))?;
+        .map_or(Ok(1), |v| v.parse().map_err(|e| format!("{e}")))?;
+    if ckpt_every == 0 {
+        return Err("--checkpoint-every must be at least 1".into());
+    }
     let ckpt_keep: usize = flags
         .get("checkpoint-keep")
         .map_or(Ok(2), |v| v.parse().map_err(|e| format!("{e}")))?;
@@ -257,7 +260,7 @@ fn train(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     if let Some(dir) = &ckpt_dir {
-        cfg = cfg.with_checkpointing(dir.clone(), ckpt_every.max(1));
+        cfg = cfg.with_checkpointing(dir.clone(), ckpt_every);
         cfg.checkpoint_keep_last = ckpt_keep;
     }
 
@@ -276,7 +279,7 @@ fn train(flags: &HashMap<String, String>) -> Result<(), String> {
             recorder.info(msg);
             let mut model = model;
             if ckpt_dir.is_some() {
-                model.set_checkpoint_policy(ckpt_dir.clone(), ckpt_every.max(1), ckpt_keep);
+                model.set_checkpoint_policy(ckpt_dir.clone(), ckpt_every, ckpt_keep);
             }
             model
         }

@@ -4,9 +4,9 @@
 //! builds carry none of this code. A [`FaultPlan`] is installed on a model
 //! with [`crate::E2dtc::set_fault_plan`] and consulted from two seams:
 //!
-//! - **Loss poisoning** — `E2dtc` training loops route every batch loss
-//!   through the plan, which can replace chosen batches' losses with NaN.
-//!   This exercises the [`traj_nn::NonFiniteGuard`] skip and rollback
+//! - **Loss poisoning** — the `E2dtc` training step routes every batch
+//!   loss through the plan, which can replace chosen batches' losses with
+//!   NaN. This exercises the [`traj_nn::NonFiniteGuard`] skip and rollback
 //!   paths without relying on genuine numerical blow-ups.
 //! - **Save faults** — `E2dtc::save_checkpoint` asks the plan whether the
 //!   current save should fail. [`SaveFault::Kill`] dies "mid-write": a
@@ -92,16 +92,6 @@ impl FaultPlan {
         self.saves_seen += 1;
         self.save_faults.iter().find(|(i, _)| *i == idx).map(|&(_, f)| f)
     }
-
-    /// Training batches observed so far.
-    pub fn batches_seen(&self) -> usize {
-        self.batches_seen
-    }
-
-    /// Checkpoint saves observed so far.
-    pub fn saves_seen(&self) -> usize {
-        self.saves_seen
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +103,6 @@ mod tests {
         let mut plan = FaultPlan::new().poison_loss_at(&[1, 3]);
         let fired: Vec<bool> = (0..5).map(|_| plan.poison_next_loss()).collect();
         assert_eq!(fired, vec![false, true, false, true, false]);
-        assert_eq!(plan.batches_seen(), 5);
     }
 
     #[test]
@@ -130,6 +119,5 @@ mod tests {
         assert_eq!(plan.next_save_fault(), Some(SaveFault::Torn(64)));
         assert_eq!(plan.next_save_fault(), Some(SaveFault::Kill));
         assert_eq!(plan.next_save_fault(), None);
-        assert_eq!(plan.saves_seen(), 4);
     }
 }

@@ -18,8 +18,8 @@
 //! [`E2dtc::soft_assignment`], [`E2dtc::assign`], [`E2dtc::freeze`]) take
 //! `&self`: they run the tape-free encoder forward, the same one `fit`
 //! uses for its clustering passes, and leave the training RNG stream
-//! untouched. A tape is built only where `backward` follows — the
-//! pre-training and joint-step loops in [`crate::trainer`].
+//! untouched. A tape is built only where `backward` follows — the one
+//! training step both phases run in [`crate::trainer`].
 
 use crate::cell_embedding::train_cell_embeddings;
 use crate::config::E2dtcConfig;

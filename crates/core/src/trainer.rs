@@ -1,5 +1,5 @@
 //! The E²DTC training pipeline (paper §V, Algorithm 1) — everything that
-//! needs `&mut`: pre-training, the self-training joint step, non-finite
+//! needs `&mut`: the epoch driver both training phases share, non-finite
 //! guards with snapshot rollback, and the periodic-checkpoint policy.
 //!
 //! Phases, exactly as Fig. 2 lays them out:
@@ -16,6 +16,13 @@
 //!
 //! [`E2dtc::fit`] runs all three and returns assignments, embeddings, and
 //! the per-epoch history.
+//!
+//! Phases 2 and 3 are one loop run twice. `run_phase` drives a phase's
+//! epochs (snapshot, train, roll back and replay or record, checkpoint),
+//! `train_epoch` is the one batch loop and `step` the one mini-batch
+//! update. Pre-training passes no clustering targets, so `step` computes
+//! `L_r` alone. Self-training first refreshes `Q`/`P` and the assignments
+//! for the epoch (a `Targets`), and `step` adds `β·L_c` and `γ·L_t`.
 //!
 //! ## Fault tolerance (DESIGN.md §10)
 //!
@@ -161,7 +168,7 @@ impl TrainingState {
     }
 }
 
-/// Outcome of one joint-loss mini-batch step.
+/// Outcome of one mini-batch step.
 struct StepOutcome {
     l_r: f32,
     l_c: f32,
@@ -169,6 +176,39 @@ struct StepOutcome {
     /// Pre-clip global gradient norm; 0 when the guard withheld the step.
     grad_norm: f32,
     verdict: GuardVerdict,
+}
+
+/// What a self-training epoch trains against, fixed at the epoch start:
+/// the embeddings, target distribution `P` and hard assignments of the
+/// Q/P refresh, and the centroid parameter.
+struct Targets {
+    emb: Tensor,
+    p: Tensor,
+    assign: Vec<usize>,
+    centroids: ParamId,
+}
+
+/// Training state one `fit` call shares across both phases. Rollbacks
+/// spent on an epoch that is never recorded (the budget ran out) stay
+/// pending and land on the next recorded epoch, in either phase.
+struct Run {
+    /// One tape reused across every batch: `clear()` keeps the node
+    /// buffer's allocation, so steady-state batches allocate no graph.
+    tape: Tape,
+    guard: NonFiniteGuard,
+    rollback_budget: usize,
+    pending_rollbacks: usize,
+}
+
+impl Run {
+    fn new(guard_patience: usize) -> Self {
+        Self {
+            tape: Tape::new(),
+            guard: NonFiniteGuard::new(guard_patience),
+            rollback_budget: MAX_ROLLBACKS,
+            pending_rollbacks: 0,
+        }
+    }
 }
 
 /// In-memory start-of-epoch snapshot the guard rolls back to. Never hits
@@ -226,41 +266,13 @@ impl E2dtc {
             }
             None => TrainingState::fresh(),
         };
-        let mut guard = NonFiniteGuard::new(self.cfg.guard_patience);
-        let mut rollback_budget = MAX_ROLLBACKS;
-        let mut pending_rollbacks = 0usize;
-        let mut tape = Tape::new();
+        let mut run = Run::new(self.cfg.guard_patience);
         let fit_span = self.recorder.span("fit");
 
         // — Phase 2: pre-training (skipped entirely when resuming past it) —
         if st.phase == Phase::Pretrain {
             let _phase_span = self.recorder.span("pretrain");
-            let mut epoch = st.next_epoch;
-            while epoch < self.cfg.pretrain_epochs {
-                let snap = self.snapshot(&st);
-                let (mut rec, rolled) =
-                    self.pretrain_epoch(dataset, &mut tape, epoch, &mut guard);
-                if rolled {
-                    if rollback_budget == 0 {
-                        self.recorder.warn(format!(
-                            "e2dtc: rollback budget exhausted during pre-training; \
-                             stopping early at epoch {epoch}"
-                        ));
-                        break;
-                    }
-                    rollback_budget -= 1;
-                    pending_rollbacks += 1;
-                    self.restore(&snap, &mut st, &mut guard);
-                    continue; // replay the same epoch from the snapshot
-                }
-                rec.rollbacks = std::mem::take(&mut pending_rollbacks);
-                self.recorder.emit(&rec.to_event());
-                st.history.push(rec);
-                st.epochs_done += 1;
-                st.next_epoch = epoch + 1;
-                self.maybe_checkpoint(&mut st);
-                epoch += 1;
-            }
+            self.run_phase(dataset, &mut run, &mut st, callback);
 
             if self.cfg.loss_mode == LossMode::L0 {
                 // Pre-training only: final clustering is plain k-means
@@ -299,122 +311,12 @@ impl E2dtc {
 
         // — Phase 3: self-training (Algorithm 1, lines 3–10) —
         let phase_span = self.recorder.span("selftrain");
-        let centroids_id =
-            self.centroids.expect("centroids exist after pre-training or resume");
-        let mut epoch = st.next_epoch;
-        while epoch < self.cfg.selftrain_epochs {
-            let snap = self.snapshot(&st);
-            // Epoch bookkeeping: Q, P, assignments, stopping rule.
-            let emb = self.clustering_embeddings(dataset);
-            let q = student_t_assignment(&emb, self.store.get(centroids_id));
-            let p = target_distribution(&q);
-            let assign = hard_assignment(&q);
-            let change =
-                st.prev_assign.as_ref().map(|prev| label_change_fraction(prev, &assign));
-            callback(epoch, emb.data(), &assign);
-            if let Some(c) = change {
-                if c <= self.cfg.delta {
-                    let rec = EpochRecord {
-                        phase: Phase::SelfTrain,
-                        epoch,
-                        recon_loss: 0.0,
-                        cluster_loss: 0.0,
-                        triplet_loss: 0.0,
-                        label_change: Some(c),
-                        grad_norm: 0.0,
-                        lr: self.opt.lr(),
-                        skipped_batches: 0,
-                        rollbacks: std::mem::take(&mut pending_rollbacks),
-                    };
-                    self.recorder.emit(&rec.to_event());
-                    self.recorder.info(format!(
-                        "self-training converged at epoch {epoch}: label change {c:.5} <= \
-                         delta {}",
-                        self.cfg.delta
-                    ));
-                    st.history.push(rec);
-                    break;
-                }
-            }
-            st.prev_assign = Some(assign.clone());
-
-            // One pass of joint training.
-            let batches = self.make_batches(dataset.len());
-            let (mut sum_r, mut sum_c, mut sum_t) = (0.0f64, 0.0f64, 0.0f64);
-            let mut sum_norm = 0.0f64;
-            let mut count = 0usize;
-            let mut skipped = 0usize;
-            let mut rolled = false;
-            let mut batch_ms = self.recorder.enabled().then(traj_obs::Histogram::new);
-            for batch in &batches {
-                let t0 = batch_ms.is_some().then(std::time::Instant::now);
-                let negatives = mine_negatives(batch, &assign, &emb);
-                let step = self.joint_step(
-                    &mut tape,
-                    dataset,
-                    batch,
-                    &p,
-                    centroids_id,
-                    &negatives,
-                    &mut guard,
-                );
-                if let (Some(h), Some(t0)) = (batch_ms.as_mut(), t0) {
-                    h.record(t0.elapsed().as_secs_f64() * 1e3);
-                }
-                match step.verdict {
-                    GuardVerdict::Proceed => {
-                        sum_r += step.l_r as f64;
-                        sum_c += step.l_c as f64;
-                        sum_t += step.l_t as f64;
-                        sum_norm += step.grad_norm as f64;
-                        count += 1;
-                    }
-                    GuardVerdict::Skip => skipped += 1,
-                    GuardVerdict::Rollback => {
-                        skipped += 1;
-                        rolled = true;
-                        break;
-                    }
-                }
-            }
-            if rolled {
-                if rollback_budget == 0 {
-                    self.recorder.warn(format!(
-                        "e2dtc: rollback budget exhausted during self-training; \
-                         stopping early at epoch {epoch}"
-                    ));
-                    break;
-                }
-                rollback_budget -= 1;
-                pending_rollbacks += 1;
-                self.restore(&snap, &mut st, &mut guard);
-                continue; // replay the same epoch from the snapshot
-            }
-            if let Some(h) = &batch_ms {
-                self.recorder.histogram("selftrain.batch_ms", h);
-            }
-            let rec = EpochRecord {
-                phase: Phase::SelfTrain,
-                epoch,
-                recon_loss: (sum_r / count.max(1) as f64) as f32,
-                cluster_loss: (sum_c / count.max(1) as f64) as f32,
-                triplet_loss: (sum_t / count.max(1) as f64) as f32,
-                label_change: change,
-                grad_norm: (sum_norm / count.max(1) as f64) as f32,
-                lr: self.opt.lr(),
-                skipped_batches: skipped,
-                rollbacks: std::mem::take(&mut pending_rollbacks),
-            };
-            self.recorder.emit(&rec.to_event());
-            st.history.push(rec);
-            st.epochs_done += 1;
-            st.next_epoch = epoch + 1;
-            self.maybe_checkpoint(&mut st);
-            epoch += 1;
-        }
+        self.run_phase(dataset, &mut run, &mut st, callback);
         drop(phase_span);
 
         // Final assignment with the trained parameters.
+        let centroids_id =
+            self.centroids.expect("centroids exist after pre-training or resume");
         let emb = self.clustering_embeddings(dataset);
         let q = student_t_assignment(&emb, self.store.get(centroids_id));
         drop(fit_span);
@@ -425,6 +327,91 @@ impl E2dtc {
             embeddings: emb.into_vec(),
             centroids: self.store.get(centroids_id).data().to_vec(),
             history: st.history,
+        }
+    }
+
+    /// Runs the epochs of `st.phase` from `st.next_epoch` on. Each epoch
+    /// starts from an in-memory snapshot. A self-training epoch first
+    /// refreshes its [`Targets`], fires `callback`, and ends the phase
+    /// once the assignments change by at most `δ`. A guard rollback
+    /// restores the snapshot and replays the epoch; once the run's budget
+    /// is spent the phase stops early with a warning. A completed epoch
+    /// is recorded, emitted and offered to the checkpoint policy.
+    fn run_phase(
+        &mut self,
+        dataset: &Dataset,
+        run: &mut Run,
+        st: &mut TrainingState,
+        callback: &mut EpochCallback<'_>,
+    ) {
+        let (epochs, phase_name) = match st.phase {
+            Phase::Pretrain => (self.cfg.pretrain_epochs, "pre-training"),
+            Phase::SelfTrain => (self.cfg.selftrain_epochs, "self-training"),
+        };
+        while st.next_epoch < epochs {
+            let epoch = st.next_epoch;
+            let snap = self.snapshot(st);
+            let (targets, change) = match st.phase {
+                Phase::Pretrain => (None, None),
+                Phase::SelfTrain => {
+                    // Epoch bookkeeping: Q, P, assignments, stopping rule.
+                    let centroids =
+                        self.centroids.expect("centroids exist after pre-training or resume");
+                    let emb = self.clustering_embeddings(dataset);
+                    let q = student_t_assignment(&emb, self.store.get(centroids));
+                    let p = target_distribution(&q);
+                    let assign = hard_assignment(&q);
+                    let change =
+                        st.prev_assign.as_ref().map(|prev| label_change_fraction(prev, &assign));
+                    callback(epoch, emb.data(), &assign);
+                    if let Some(c) = change.filter(|&c| c <= self.cfg.delta) {
+                        let rec = EpochRecord {
+                            phase: Phase::SelfTrain,
+                            epoch,
+                            recon_loss: 0.0,
+                            cluster_loss: 0.0,
+                            triplet_loss: 0.0,
+                            label_change: Some(c),
+                            grad_norm: 0.0,
+                            lr: self.opt.lr(),
+                            skipped_batches: 0,
+                            rollbacks: std::mem::take(&mut run.pending_rollbacks),
+                        };
+                        self.recorder.emit(&rec.to_event());
+                        self.recorder.info(format!(
+                            "self-training converged at epoch {epoch}: label change {c:.5} <= \
+                             delta {}",
+                            self.cfg.delta
+                        ));
+                        st.history.push(rec);
+                        break;
+                    }
+                    st.prev_assign = Some(assign.clone());
+                    (Some(Targets { emb, p, assign, centroids }), change)
+                }
+            };
+
+            let Some(mut rec) = self.train_epoch(dataset, run, st.phase, epoch, targets.as_ref())
+            else {
+                if run.rollback_budget == 0 {
+                    self.recorder.warn(format!(
+                        "e2dtc: rollback budget exhausted during {phase_name}; \
+                         stopping early at epoch {epoch}"
+                    ));
+                    break;
+                }
+                run.rollback_budget -= 1;
+                run.pending_rollbacks += 1;
+                self.restore(&snap, st, &mut run.guard);
+                continue; // replay the same epoch from the snapshot
+            };
+            rec.label_change = change;
+            rec.rollbacks = std::mem::take(&mut run.pending_rollbacks);
+            self.recorder.emit(&rec.to_event());
+            st.history.push(rec);
+            st.epochs_done += 1;
+            st.next_epoch = epoch + 1;
+            self.maybe_checkpoint(st);
         }
     }
 
@@ -439,101 +426,81 @@ impl E2dtc {
         self.recorder.flush();
     }
 
-    /// Phase 2: corrupt-and-reconstruct pre-training (Algorithm 1,
-    /// lines 1–2). Each epoch draws one random `(r1, r2)` corruption per
-    /// trajectory from the configured rate grids (the paper's 16-pair
-    /// sweep, sampled across epochs instead of materialized at once).
+    /// Phase 2 on its own: `epochs` corrupt-and-reconstruct epochs
+    /// (Algorithm 1, lines 1–2) through `fit`'s batch loop. Each epoch
+    /// draws one random `(r1, r2)` corruption per trajectory from the
+    /// configured rate grids (the paper's 16-pair sweep, sampled across
+    /// epochs instead of materialized at once).
     ///
     /// Non-finite batches are skipped (no parameter update); standalone
-    /// pre-training keeps no snapshot, so the guard never rolls back here
-    /// — that escalation belongs to [`E2dtc::fit`].
+    /// pre-training keeps no snapshot, so its patience-0 guard never rolls
+    /// back — that escalation belongs to [`E2dtc::fit`].
     pub fn pretrain(&mut self, dataset: &Dataset, epochs: usize) -> Vec<EpochRecord> {
         self.ensure_sequences(dataset);
-        let mut history = Vec::with_capacity(epochs);
-        // One tape reused across every batch: clear() keeps the node
-        // buffer's allocation, so steady-state batches allocate no graph.
-        let mut tape = Tape::new();
-        let mut guard = NonFiniteGuard::new(0);
-        for epoch in 0..epochs {
-            let (rec, _) = self.pretrain_epoch(dataset, &mut tape, epoch, &mut guard);
-            history.push(rec);
-        }
-        history
+        let mut run = Run::new(0);
+        (0..epochs)
+            .map(|epoch| {
+                self.train_epoch(dataset, &mut run, Phase::Pretrain, epoch, None)
+                    .expect("a patience-0 guard never rolls back")
+            })
+            .collect()
     }
 
-    /// One pre-training epoch. Returns the record and whether the guard
-    /// requested a rollback (in which case the epoch aborted mid-way and
-    /// the record must be discarded).
-    fn pretrain_epoch(
+    /// One pass over the dataset in shuffled length buckets: `L_r` alone
+    /// without `targets` (pre-training), the joint loss with them
+    /// (self-training). Returns the epoch's record, whose `label_change`
+    /// and `rollbacks` the caller fills in, and emits the
+    /// `{phase}.batch_ms` histogram. Returns `None` when the guard
+    /// requested a rollback: the epoch stopped mid-way and its sums are
+    /// discarded.
+    fn train_epoch(
         &mut self,
         dataset: &Dataset,
-        tape: &mut Tape,
+        run: &mut Run,
+        phase: Phase,
         epoch: usize,
-        guard: &mut NonFiniteGuard,
-    ) -> (EpochRecord, bool) {
+        targets: Option<&Targets>,
+    ) -> Option<EpochRecord> {
         let batches = self.make_batches(dataset.len());
-        let mut total = 0.0f64;
+        let (mut sum_r, mut sum_c, mut sum_t) = (0.0f64, 0.0f64, 0.0f64);
         let mut sum_norm = 0.0f64;
         let mut count = 0usize;
         let mut skipped = 0usize;
-        let mut rolled = false;
         let mut batch_ms = self.recorder.enabled().then(traj_obs::Histogram::new);
         for batch in &batches {
             let t0 = batch_ms.is_some().then(std::time::Instant::now);
-            let (inputs, targets) = self.corrupted_batch(dataset, batch);
-            tape.clear();
-            let input_refs: Vec<&[usize]> = inputs.iter().map(Vec::as_slice).collect();
-            let target_refs: Vec<&[usize]> = targets.iter().map(Vec::as_slice).collect();
-            let enc = self.model.encode(tape, &self.store, &input_refs);
-            let loss = self.model.reconstruction_loss(
-                tape,
-                &self.store,
-                &enc,
-                &target_refs,
-                &self.weights,
-            );
-            let loss_val = self.observe_loss(tape.value(loss).get(0, 0));
-            tape.backward(loss, &mut self.store);
-            let verdict = guard.observe(loss_val, &self.store);
+            let step = self.step(dataset, run, batch, targets);
             if let (Some(h), Some(t0)) = (batch_ms.as_mut(), t0) {
                 h.record(t0.elapsed().as_secs_f64() * 1e3);
             }
-            match verdict {
+            match step.verdict {
                 GuardVerdict::Proceed => {
-                    sum_norm += self.opt.step(&mut self.store) as f64;
-                    total += loss_val as f64;
+                    sum_r += step.l_r as f64;
+                    sum_c += step.l_c as f64;
+                    sum_t += step.l_t as f64;
+                    sum_norm += step.grad_norm as f64;
                     count += 1;
                 }
-                GuardVerdict::Skip => {
-                    self.store.zero_grads();
-                    skipped += 1;
-                }
-                GuardVerdict::Rollback => {
-                    self.store.zero_grads();
-                    skipped += 1;
-                    rolled = true;
-                    break;
-                }
+                GuardVerdict::Skip => skipped += 1,
+                GuardVerdict::Rollback => return None,
             }
         }
         if let Some(h) = &batch_ms {
-            if !rolled {
-                self.recorder.histogram("pretrain.batch_ms", h);
-            }
+            self.recorder.histogram(&format!("{}.batch_ms", phase.wire_name()), h);
         }
-        let rec = EpochRecord {
-            phase: Phase::Pretrain,
+        let mean = |sum: f64| (sum / count.max(1) as f64) as f32;
+        Some(EpochRecord {
+            phase,
             epoch,
-            recon_loss: (total / count.max(1) as f64) as f32,
-            cluster_loss: 0.0,
-            triplet_loss: 0.0,
+            recon_loss: mean(sum_r),
+            cluster_loss: mean(sum_c),
+            triplet_loss: mean(sum_t),
             label_change: None,
-            grad_norm: (sum_norm / count.max(1) as f64) as f32,
+            grad_norm: mean(sum_norm),
             lr: self.opt.lr(),
             skipped_batches: skipped,
             rollbacks: 0,
-        };
-        (rec, rolled)
+        })
     }
 
     /// Embeds `dataset` for fit's clustering passes (centroid init, the
@@ -560,36 +527,34 @@ impl E2dtc {
         }
     }
 
-    /// One joint-loss mini-batch: `L_r + β·L_c + γ·L_t` per the active
-    /// [`LossMode`]. `negatives[row]` is the batch-row index of the mined
-    /// triplet negative for anchor `row`. Returns the three loss values,
-    /// the pre-clip gradient norm, and the guard's verdict (the optimizer
-    /// step is applied only on [`GuardVerdict::Proceed`]).
-    #[allow(clippy::too_many_arguments)]
-    fn joint_step(
+    /// One mini-batch update on a corrupted draw of `batch`. Without
+    /// `targets` the loss is `L_r` (Eq. 8); with them it adds `β·L_c`
+    /// and, under [`LossMode::L2`], `γ·L_t` (Eq. 14). Targets exist only
+    /// under L1 and L2, since L0 ends after pre-training. The optimizer
+    /// steps only on [`GuardVerdict::Proceed`].
+    fn step(
         &mut self,
-        tape: &mut Tape,
         dataset: &Dataset,
+        run: &mut Run,
         batch: &[usize],
-        p: &Tensor,
-        centroids_id: ParamId,
-        negatives: &[usize],
-        guard: &mut NonFiniteGuard,
+        targets: Option<&Targets>,
     ) -> StepOutcome {
-        let (inputs, targets) = self.corrupted_batch(dataset, batch);
+        let (inputs, originals) = self.corrupted_batch(dataset, batch);
+        let tape = &mut run.tape;
         tape.clear();
         let input_refs: Vec<&[usize]> = inputs.iter().map(Vec::as_slice).collect();
-        let target_refs: Vec<&[usize]> = targets.iter().map(Vec::as_slice).collect();
+        let original_refs: Vec<&[usize]> = originals.iter().map(Vec::as_slice).collect();
 
-        // Anchor embeddings from the *original* sequences; positives from
-        // the corrupted variants (which also drive reconstruction).
-        let enc_orig = self.model.encode(tape, &self.store, &target_refs);
+        // Self-training anchors are the *original* sequences, encoded
+        // first; the corrupted variants are the positives and drive
+        // reconstruction in both phases.
+        let anchors = targets.map(|_| self.model.encode(tape, &self.store, &original_refs));
         let enc_corr = self.model.encode(tape, &self.store, &input_refs);
         let l_r = self.model.reconstruction_loss(
             tape,
             &self.store,
             &enc_corr,
-            &target_refs,
+            &original_refs,
             &self.weights,
         );
         let mut total = l_r;
@@ -597,35 +562,37 @@ impl E2dtc {
         let mut lc_val = 0.0;
         let mut lt_val = 0.0;
 
-        if matches!(self.cfg.loss_mode, LossMode::L1 | LossMode::L2) {
+        if let (Some(t), Some(anchors)) = (targets, anchors) {
             // Batch rows of the (epoch-fixed) target distribution P.
-            let k = p.cols();
+            let k = t.p.cols();
             let mut p_batch = Tensor::zeros(batch.len(), k);
             for (row, &i) in batch.iter().enumerate() {
-                p_batch.row_mut(row).copy_from_slice(p.row(i));
+                p_batch.row_mut(row).copy_from_slice(t.p.row(i));
             }
-            let cvar = tape.param(&self.store, centroids_id);
-            let l_c = tape.dec_kl(enc_orig.repr, cvar, p_batch);
+            let cvar = tape.param(&self.store, t.centroids);
+            let l_c = tape.dec_kl(anchors.repr, cvar, p_batch);
             lc_val = tape.value(l_c).get(0, 0);
             let scaled = tape.scale(l_c, self.cfg.beta);
             total = tape.add(total, scaled);
-        }
-        if self.cfg.loss_mode == LossMode::L2 && batch.len() >= 2 {
-            let neg_rows = tape.gather_rows(enc_orig.repr, negatives);
-            let l_t = tape.triplet(
-                enc_orig.repr,
-                enc_corr.repr,
-                neg_rows,
-                self.cfg.triplet_margin,
-            );
-            lt_val = tape.value(l_t).get(0, 0);
-            let scaled = tape.scale(l_t, self.cfg.gamma);
-            total = tape.add(total, scaled);
+
+            if self.cfg.loss_mode == LossMode::L2 && batch.len() >= 2 {
+                let negatives = mine_negatives(batch, &t.assign, &t.emb);
+                let neg_rows = tape.gather_rows(anchors.repr, &negatives);
+                let l_t = tape.triplet(
+                    anchors.repr,
+                    enc_corr.repr,
+                    neg_rows,
+                    self.cfg.triplet_margin,
+                );
+                lt_val = tape.value(l_t).get(0, 0);
+                let scaled = tape.scale(l_t, self.cfg.gamma);
+                total = tape.add(total, scaled);
+            }
         }
 
         let total_val = self.observe_loss(tape.value(total).get(0, 0));
         tape.backward(total, &mut self.store);
-        let verdict = guard.observe(total_val, &self.store);
+        let verdict = run.guard.observe(total_val, &self.store);
         let mut grad_norm = 0.0;
         match verdict {
             GuardVerdict::Proceed => {

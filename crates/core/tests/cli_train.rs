@@ -1,7 +1,7 @@
 //! `e2dtc train` with a cluster count outside `1..=|dataset|`, with a
-//! flag it does not read, or with a checkpoint flag but no checkpoint
-//! directory, must fail with an error message and exit code 1, not panic
-//! or train with the flag ignored.
+//! flag it does not read, with a checkpoint flag but no checkpoint
+//! directory, or with `--checkpoint-every 0`, must fail with an error
+//! message and exit code 1, not panic or train with the flag ignored.
 
 use std::process::Command;
 
@@ -110,5 +110,34 @@ fn train_with_checkpoint_keep_but_no_dir_is_an_error() {
         );
         assert!(!model.exists(), "a rejected train must not write a model");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn train_with_checkpoint_every_zero_is_an_error() {
+    let dir = std::env::temp_dir().join(format!("e2dtc_cli_every_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let data = dir.join("data.json");
+    let model = dir.join("model.json");
+    let ckpts = dir.join("ck");
+    let path = |p: &std::path::Path| p.to_str().expect("utf-8 temp path").to_string();
+
+    let status = Command::new(bin())
+        .args(["generate", "--kind", "hangzhou", "--n", "20", "--seed", "5"])
+        .args(["--out", &path(&data), "--quiet"])
+        .status()
+        .expect("launch generate");
+    assert!(status.success(), "generate failed");
+
+    let run = Command::new(bin())
+        .args(["train", "--data", &path(&data), "--out", &path(&model)])
+        .args(["--checkpoint-dir", &path(&ckpts), "--checkpoint-every", "0", "--quiet"])
+        .output()
+        .expect("launch train");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: --checkpoint-every must be at least 1"), "{stderr}");
+    assert!(!model.exists(), "a rejected train must not write a model");
+    assert!(!ckpts.exists(), "a rejected train must not write checkpoints");
     std::fs::remove_dir_all(&dir).ok();
 }

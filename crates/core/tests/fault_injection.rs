@@ -6,7 +6,10 @@
 //! - isolated NaN losses → guard skips the poisoned updates, training
 //!   completes, counts surface in the history;
 //! - a run of consecutive NaN losses → guard rolls back to the
-//!   start-of-epoch snapshot, replays the epoch, training completes;
+//!   start-of-epoch snapshot, replays the epoch, training completes, in
+//!   either phase;
+//! - NaN losses outlasting the rollback budget → the phase stops early
+//!   with a warning and the next phase still runs;
 //! - a checkpoint save torn at the final path → `resume` detects the
 //!   corruption and falls back to the previous good checkpoint, and the
 //!   resumed run still reproduces the clean run's assignments;
@@ -15,7 +18,7 @@
 #![cfg(feature = "fault-injection")]
 
 use e2dtc::fault::FaultPlan;
-use e2dtc::{E2dtc, E2dtcConfig};
+use e2dtc::{E2dtc, E2dtcConfig, Phase};
 use std::path::PathBuf;
 use traj_data::SynthSpec;
 
@@ -80,6 +83,47 @@ fn consecutive_nan_batches_trigger_rollback_and_replay() {
     // Training completed through both phases despite the rollback.
     assert_eq!(fit.history.len(), 6);
     assert!(!model.embed_dataset(&city.dataset).has_non_finite());
+    assert_eq!(fit.assignments.len(), 40);
+}
+
+#[test]
+fn consecutive_nan_batches_roll_back_a_self_training_epoch() {
+    let city = city(40);
+    // 3 pre-training epochs × 3 batches come first, so global batches
+    // 9..12 are self-training epoch 0's: the rollback happens there.
+    let mut model = E2dtc::new(&city.dataset, base_cfg());
+    model.set_fault_plan(FaultPlan::new().poison_loss_run(9, 3));
+    let fit = model.fit(&city.dataset);
+
+    assert_eq!(fit.history.len(), 6);
+    assert_eq!(fit.history[3].phase, Phase::SelfTrain);
+    assert_eq!(fit.history[3].epoch, 0);
+    assert_eq!(fit.history[3].rollbacks, 1, "self-training epoch 0 must record its rollback");
+    let rollbacks: usize = fit.history.iter().map(|r| r.rollbacks).sum();
+    assert_eq!(rollbacks, 1);
+    assert!(!model.embed_dataset(&city.dataset).has_non_finite());
+    assert_eq!(fit.assignments.len(), 40);
+}
+
+#[test]
+fn exhausted_rollback_budget_stops_the_phase_early() {
+    let city = city(40);
+    // 27 poisoned batches = 9 attempts at pre-training epoch 0: 8 roll
+    // back (the whole budget), the 9th finds the budget spent and ends
+    // pre-training. Self-training still runs its 3 epochs, and the first
+    // recorded epoch carries the 8 rollbacks.
+    let mut model = E2dtc::new(&city.dataset, base_cfg());
+    model.set_fault_plan(FaultPlan::new().poison_loss_run(0, 27));
+    let fit = model.fit(&city.dataset);
+
+    assert!(fit.history.iter().all(|r| r.phase == Phase::SelfTrain));
+    assert_eq!(fit.history.len(), 3);
+    assert_eq!(fit.history[0].rollbacks, 8);
+    let rollbacks: usize = fit.history.iter().map(|r| r.rollbacks).sum();
+    assert_eq!(rollbacks, 8);
+    let emb = model.embed_dataset(&city.dataset);
+    assert!(!emb.has_non_finite());
+    assert!(fit.embeddings.iter().all(|x| x.is_finite()));
     assert_eq!(fit.assignments.len(), 40);
 }
 

@@ -56,6 +56,18 @@ fn resume_reproduces_uninterrupted_run() {
     assert_eq!(fit.embeddings, base_fit.embeddings);
     assert_eq!(fit.history.len(), base_fit.history.len());
 
+    // Resume from a kill at the phase boundary (after the last pretrain
+    // epoch): no pretrain epoch is left, but centroid init still runs.
+    let mut from_boundary = E2dtc::resume(dir.join("ckpt-000003.json")).expect("resume");
+    let st = from_boundary.pending_training().expect("cursor").clone();
+    assert_eq!(st.phase, Phase::Pretrain);
+    assert_eq!(st.next_epoch, 3);
+    let fit = from_boundary.fit(&city.dataset);
+    assert_eq!(fit.assignments, base_fit.assignments, "boundary-resume diverged");
+    assert_eq!(fit.embeddings, base_fit.embeddings);
+    assert_eq!(fit.centroids, base_fit.centroids);
+    assert_eq!(fit.history.len(), base_fit.history.len());
+
     // Resume from a mid-self-training kill (after selftrain epoch 1).
     let mut from_selftrain = E2dtc::resume(dir.join("ckpt-000005.json")).expect("resume");
     let st = from_selftrain.pending_training().expect("cursor").clone();

@@ -90,16 +90,6 @@ impl Grid {
         self.nx * self.ny
     }
 
-    /// Grid width in cells.
-    pub fn nx(&self) -> usize {
-        self.nx
-    }
-
-    /// Grid height in cells.
-    pub fn ny(&self) -> usize {
-        self.ny
-    }
-
     /// Configured cell side length in meters.
     pub fn cell_meters(&self) -> f64 {
         self.cell_meters
@@ -165,7 +155,10 @@ mod tests {
     #[test]
     fn vocab_size_matches_dims() {
         let g = grid();
-        assert_eq!(g.vocab_size(), g.nx() * g.ny());
+        // Tokens are row-major over the cells, so the box's two corners
+        // hold the first and the last id.
+        assert_eq!(g.token(&GpsPoint::new(30.0, 120.0, 0.0)), 0);
+        assert_eq!(g.token(&GpsPoint::new(30.1, 120.1, 0.0)), g.vocab_size() - 1);
         assert!(g.vocab_size() > 100, "0.1 degree box should exceed 100 cells at 300 m");
     }
 

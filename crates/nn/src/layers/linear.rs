@@ -10,8 +10,6 @@ use rand::Rng;
 pub struct Linear {
     weight: ParamId,
     bias: Option<ParamId>,
-    in_dim: usize,
-    out_dim: usize,
 }
 
 impl Linear {
@@ -27,12 +25,16 @@ impl Linear {
         let weight =
             store.add_init(format!("{name}.weight"), in_dim, out_dim, Init::XavierUniform, rng);
         let bias = bias.then(|| store.add_init(format!("{name}.bias"), 1, out_dim, Init::Zeros, rng));
-        Self { weight, bias, in_dim, out_dim }
+        Self { weight, bias }
     }
 
     /// Forward pass for a `(batch, in)` input, producing `(batch, out)`.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        debug_assert_eq!(tape.value(x).cols(), self.in_dim, "linear input width mismatch");
+        debug_assert_eq!(
+            tape.value(x).cols(),
+            store.get(self.weight).rows(),
+            "linear input width mismatch"
+        );
         let w = tape.param(store, self.weight);
         let y = tape.matmul(x, w);
         match self.bias {
@@ -42,16 +44,6 @@ impl Linear {
             }
             None => y,
         }
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
     }
 
     /// Weight parameter handle.

@@ -153,18 +153,6 @@ pub struct Span {
     state: Option<SpanState>,
 }
 
-impl Span {
-    /// Whether this guard tracks a live span (false under a no-op sink).
-    pub fn is_active(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// Elapsed time since the span opened (zero when inactive).
-    pub fn elapsed_ms(&self) -> f64 {
-        self.state.as_ref().map_or(0.0, |s| s.start.elapsed().as_secs_f64() * 1e3)
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(s) = self.state.take() else { return };
@@ -193,8 +181,7 @@ mod tests {
     fn disabled_recorder_emits_nothing_and_span_is_inert() {
         let rec = Recorder::disabled();
         let span = rec.span("quiet");
-        assert!(!span.is_active());
-        assert_eq!(span.elapsed_ms(), 0.0);
+        assert!(span.state.is_none(), "a disabled recorder must not track spans");
         rec.info("ignored");
         rec.counters(&[]);
     }

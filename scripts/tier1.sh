@@ -28,8 +28,10 @@
 #            checkpoint), whose labels must agree → evaluate on those
 #            labels with one id set to 1000000, which must finish within
 #            10 s; then a
-#            checkpointed train resumed from its checkpoint directory, and
-#            a resume from the plain save, which must fail with `error:`
+#            checkpointed train resumed from its checkpoint directory with
+#            the newest checkpoint deleted, whose model.json must be
+#            byte-identical to the uninterrupted run's, and a resume from
+#            the plain save, which must fail with `error:`
 #   serial ≡ parallel — train and embed once with RAYON_NUM_THREADS=1
 #            and once on the default pool; the two model.json files and
 #            the two embed outputs must be byte-identical. Twice: on a
@@ -92,8 +94,14 @@ if ! timeout 10 ./target/release/e2dtc evaluate --data "$smoke_dir/data.json" \
 fi
 ./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/ck_model.json" \
     --preset fast --checkpoint-dir "$smoke_dir/ck" --checkpoint-every 1 --quiet
+# Drop the newest checkpoint so the resume replays real epochs.
+rm "$(ls "$smoke_dir"/ck/ckpt-*.json | sort | tail -n 1)"
 ./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/resumed.json" \
     --resume "$smoke_dir/ck" --quiet
+if ! cmp -s "$smoke_dir/ck_model.json" "$smoke_dir/resumed.json"; then
+    echo "tier1: the resumed train wrote a different model.json than the uninterrupted one" >&2
+    exit 1
+fi
 rc=0
 ./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/bad.json" \
     --resume "$smoke_dir/model.json" --quiet 2>"$smoke_dir/resume_err.txt" || rc=$?
