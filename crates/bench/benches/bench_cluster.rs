@@ -1,14 +1,12 @@
 //! Criterion benches for the clustering substrate, including the design
-//! ablation k-means++ vs. random init and PAM vs. alternating K-Medoids
-//! (DESIGN.md §5).
+//! ablation k-means++ vs. random init (DESIGN.md §5) and the alternating
+//! K-Medoids the `<metric> + KM` baselines run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use traj_cluster::{
-    kmeans, kmedoids, kmedoids_alternating, uacc, KMeansConfig, KMedoidsConfig, Points,
-};
+use traj_cluster::{kmeans, kmedoids_alternating, uacc, KMeansConfig, KMedoidsConfig, Points};
 
 fn blob_points(n: usize, k: usize, d: usize, seed: u64) -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -53,14 +51,11 @@ fn bench_kmeans_init(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_kmedoids_variants(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kmedoids_ablation");
+fn bench_kmedoids(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kmedoids");
     group.sample_size(10);
     for n in [100usize, 200] {
         let d = dist_matrix(n, 4);
-        group.bench_with_input(BenchmarkId::new("pam", n), &d, |b, d| {
-            b.iter(|| kmedoids(black_box(d), n, KMedoidsConfig::new(5)))
-        });
         group.bench_with_input(BenchmarkId::new("alternating", n), &d, |b, d| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(0);
@@ -80,5 +75,5 @@ fn bench_metrics(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_kmeans_init, bench_kmedoids_variants, bench_metrics);
+criterion_group!(benches, bench_kmeans_init, bench_kmedoids, bench_metrics);
 criterion_main!(benches);

@@ -56,7 +56,7 @@ fn bench_gru_bptt(c: &mut Criterion) {
 fn bench_vocab_projection(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let mut store = ParamStore::new();
-    let proj = Linear::new(&mut store, "proj", 48, 800, true, &mut rng);
+    let proj = Linear::new(&mut store, "proj", 48, 800, &mut rng);
     let h = Tensor::full(32, 48, 0.2);
     c.bench_function("decoder_projection_b32_h48_v800", |b| {
         b.iter(|| {
@@ -72,7 +72,7 @@ fn bench_vocab_projection(c: &mut Criterion) {
 fn bench_decoder_output(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let mut store = ParamStore::new();
-    let proj = Linear::new(&mut store, "proj", 48, 800, true, &mut rng);
+    let proj = Linear::new(&mut store, "proj", 48, 800, &mut rng);
     let h = Tensor::full(32, 48, 0.2);
     // Each row's target spreads its weight over 9 cells, the fast
     // preset's `knn_k`.

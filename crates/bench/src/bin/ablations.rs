@@ -3,8 +3,7 @@
 //!
 //! 1. Spatial-proximity loss (Eq. 8, kNN cell weights) vs. plain one-hot
 //!    NLL (`α → 0`).
-//! 2. Decoder attention (extension) on vs. off.
-//! 3. k-means++ vs. random centroid initialization for the final
+//! 2. k-means++ vs. random centroid initialization for the final
 //!    clustering stage.
 //!
 //! Usage: `ablations [--n <trajectories>] [--seed <s>]`
@@ -56,23 +55,7 @@ fn main() {
         );
     }
 
-    // 2. Decoder attention.
-    for (variant, attention) in [("no attention (paper)", false), ("dot attention", true)] {
-        let mut cfg = E2dtcConfig::fast(k).with_seed(seed);
-        cfg.attention = attention;
-        let mut model = E2dtc::new(&data.dataset, cfg);
-        let fit = model.fit(&data.dataset);
-        push(
-            &mut rows,
-            &mut table,
-            "decoder attention",
-            variant,
-            uacc(&fit.assignments, &data.labels),
-            nmi(&fit.assignments, &data.labels),
-        );
-    }
-
-    // 3. k-means++ vs. random init on the frozen pretrained embeddings.
+    // 2. k-means++ vs. random init on the frozen pretrained embeddings.
     {
         let mut model =
             E2dtc::new(&data.dataset, E2dtcConfig::fast(k).with_seed(seed));

@@ -1,9 +1,9 @@
-//! K-Medoids (PAM: BUILD + SWAP) over a precomputed distance matrix.
+//! K-Medoids over a precomputed distance matrix.
 //!
 //! The paper's classic baselines are "K-Medoids clustering methods by
-//! considering different distance metrics" (§VII-A). PAM works directly on
-//! pairwise distances, which is what makes it applicable to EDR / LCSS /
-//! DTW / Hausdorff where no mean exists.
+//! considering different distance metrics" (§VII-A). K-Medoids works
+//! directly on pairwise distances, which is what makes it applicable to
+//! EDR / LCSS / DTW / Hausdorff where no mean exists.
 
 use rayon::prelude::*;
 
@@ -12,7 +12,7 @@ use rayon::prelude::*;
 pub struct KMedoidsConfig {
     /// Number of clusters.
     pub k: usize,
-    /// Maximum SWAP passes.
+    /// Maximum update passes.
     pub max_iters: usize,
 }
 
@@ -32,95 +32,18 @@ pub struct KMedoidsResult {
     pub assignment: Vec<usize>,
     /// Total distance of points to their medoids.
     pub cost: f64,
-    /// SWAP passes executed.
+    /// Update passes executed.
     pub iterations: usize,
-}
-
-/// Runs PAM on a dense symmetric `n × n` distance matrix (row-major).
-///
-/// # Panics
-/// Panics when `dist.len() != n * n`, `k == 0`, or `k > n`.
-pub fn kmedoids(dist: &[f64], n: usize, cfg: KMedoidsConfig) -> KMedoidsResult {
-    assert_eq!(dist.len(), n * n, "distance buffer must be n²");
-    let k = cfg.k;
-    assert!(k >= 1, "k must be positive");
-    assert!(k <= n, "k = {k} exceeds n = {n}");
-    let d = |i: usize, j: usize| dist[i * n + j];
-
-    // BUILD: greedily add the medoid that most reduces total cost.
-    let mut medoids: Vec<usize> = Vec::with_capacity(k);
-    // First medoid: the most central point. The O(n²) row-sum scan runs
-    // in parallel; ties break toward the lower index, matching the
-    // serial scan this replaces.
-    let first = (0..n)
-        .into_par_iter()
-        .map(|a| ((0..n).map(|j| d(a, j)).sum::<f64>(), a))
-        .min_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)))
-        .map(|(_, a)| a)
-        .expect("n >= 1");
-    medoids.push(first);
-    let mut nearest: Vec<f64> = (0..n).map(|i| d(i, first)).collect();
-    while medoids.len() < k {
-        let cand = (0..n)
-            .into_par_iter()
-            .filter(|i| !medoids.contains(i))
-            .map(|c| {
-                let gain: f64 =
-                    (0..n).map(|i| (nearest[i] - d(i, c)).max(0.0)).sum();
-                (c, gain)
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(c, _)| c)
-            .expect("candidates remain while medoids < k <= n");
-        for i in 0..n {
-            nearest[i] = nearest[i].min(d(i, cand));
-        }
-        medoids.push(cand);
-    }
-
-    // SWAP: first-improvement passes until no swap helps.
-    let mut iterations = 0;
-    let mut cost = total_cost(dist, n, &medoids);
-    for _ in 0..cfg.max_iters {
-        iterations += 1;
-        let mut improved = false;
-        for mi in 0..k {
-            // Best replacement for medoid `mi`, evaluated in parallel.
-            let current = medoids.clone();
-            let best = (0..n)
-                .into_par_iter()
-                .filter(|h| !current.contains(h))
-                .map(|h| {
-                    let mut trial = current.clone();
-                    trial[mi] = h;
-                    (h, total_cost(dist, n, &trial))
-                })
-                .min_by(|a, b| a.1.total_cmp(&b.1));
-            if let Some((h, c)) = best {
-                if c + 1e-12 < cost {
-                    medoids[mi] = h;
-                    cost = c;
-                    improved = true;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-
-    let assignment = assign(dist, n, &medoids);
-    KMedoidsResult { medoids, assignment, cost, iterations }
 }
 
 /// Alternating ("Voronoi iteration") K-Medoids: random distinct medoids,
 /// then assign-points / re-pick-medoid-per-cluster until stable.
 ///
-/// This is the variant actually runnable at the paper's 80k-trajectory
-/// scale (PAM's SWAP is O(k·n²) *per pass*), and the one large-scale
-/// libraries implement. It converges to local optima that full PAM
-/// escapes — the experiment harness uses it for the `<metric> + KM`
-/// baselines for that reason; PAM remains available for ablation.
+/// This is the variant runnable at the paper's 80k-trajectory scale (PAM's
+/// BUILD + SWAP costs O(k·n²) *per pass*), and the one large-scale
+/// libraries implement. It converges to local optima that full PAM would
+/// escape; the experiment harness runs it for the `<metric> + KM`
+/// baselines.
 ///
 /// # Panics
 /// Panics when `dist.len() != n * n`, `k == 0`, or `k > n`.
@@ -206,6 +129,8 @@ fn assign(dist: &[f64], n: usize, medoids: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// Distance matrix for points on a line: 0, 1, 2, 10, 11, 12.
     fn line_matrix() -> (Vec<f64>, usize) {
@@ -220,10 +145,15 @@ mod tests {
         (d, n)
     }
 
+    fn run(d: &[f64], n: usize, k: usize) -> KMedoidsResult {
+        let mut rng = StdRng::seed_from_u64(3);
+        kmedoids_alternating(d, n, KMedoidsConfig::new(k), &mut rng)
+    }
+
     #[test]
     fn two_line_clusters_are_separated() {
         let (d, n) = line_matrix();
-        let res = kmedoids(&d, n, KMedoidsConfig::new(2));
+        let res = run(&d, n, 2);
         assert_eq!(res.assignment[0], res.assignment[1]);
         assert_eq!(res.assignment[1], res.assignment[2]);
         assert_eq!(res.assignment[3], res.assignment[4]);
@@ -239,7 +169,7 @@ mod tests {
     #[test]
     fn k_one_picks_global_medoid() {
         let (d, n) = line_matrix();
-        let res = kmedoids(&d, n, KMedoidsConfig::new(1));
+        let res = run(&d, n, 1);
         // Any of the central points minimizes total distance (index 2 or 3,
         // cost 30 each).
         assert!((res.cost - 30.0).abs() < 1e-9);
@@ -248,7 +178,7 @@ mod tests {
     #[test]
     fn medoids_are_members_and_self_assigned() {
         let (d, n) = line_matrix();
-        let res = kmedoids(&d, n, KMedoidsConfig::new(3));
+        let res = run(&d, n, 3);
         for (c, &m) in res.medoids.iter().enumerate() {
             assert!(m < n);
             assert_eq!(res.assignment[m], c, "medoid must belong to its own cluster");
@@ -258,7 +188,7 @@ mod tests {
     #[test]
     fn k_equals_n_zero_cost() {
         let (d, n) = line_matrix();
-        let res = kmedoids(&d, n, KMedoidsConfig::new(n));
+        let res = run(&d, n, n);
         assert_eq!(res.cost, 0.0);
     }
 
@@ -266,47 +196,17 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn k_too_large_panics() {
         let (d, n) = line_matrix();
-        let _ = kmedoids(&d, n, KMedoidsConfig::new(n + 1));
+        let _ = run(&d, n, n + 1);
     }
 
     #[test]
     fn alternating_variant_converges_and_is_valid() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let (d, n) = line_matrix();
-        let mut rng = StdRng::seed_from_u64(3);
-        let res = kmedoids_alternating(&d, n, KMedoidsConfig::new(2), &mut rng);
+        let res = run(&d, n, 2);
         assert_eq!(res.assignment.len(), n);
         assert!(res.medoids.iter().all(|&m| m < n));
         assert!(res.cost.is_finite());
         // On this trivially-separated line it should still find the optimum.
         assert!((res.cost - 4.0).abs() < 1e-9, "cost {}", res.cost);
-    }
-
-    #[test]
-    fn pam_cost_never_worse_than_alternating_on_average() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // Random metric-ish matrices: PAM (BUILD+SWAP) should on average
-        // match or beat the alternating local search.
-        let mut rng = StdRng::seed_from_u64(9);
-        let n = 24;
-        let mut worse = 0;
-        for trial in 0..5 {
-            let xs: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..10.0)).collect();
-            let mut d = vec![0.0; n * n];
-            for i in 0..n {
-                for j in 0..n {
-                    d[i * n + j] = (xs[i] - xs[j]).abs();
-                }
-            }
-            let pam = kmedoids(&d, n, KMedoidsConfig::new(4));
-            let mut arng = StdRng::seed_from_u64(trial);
-            let alt = kmedoids_alternating(&d, n, KMedoidsConfig::new(4), &mut arng);
-            if pam.cost > alt.cost + 1e-9 {
-                worse += 1;
-            }
-        }
-        assert!(worse <= 1, "PAM worse than alternating in {worse}/5 trials");
     }
 }

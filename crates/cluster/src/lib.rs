@@ -5,8 +5,9 @@
 //! - [`kmeans()`]: Lloyd's algorithm with k-means++ seeding — used to
 //!   initialize the self-training centroids (§V-C) and as the second stage
 //!   of the `t2vec + k-means` baseline;
-//! - [`kmedoids()`]: PAM over a precomputed distance matrix — the paper's
-//!   classic `<metric> + KM` baselines (§VII-A);
+//! - [`kmedoids_alternating()`]: alternating K-Medoids over a precomputed
+//!   distance matrix — the paper's classic `<metric> + KM` baselines
+//!   (§VII-A);
 //! - [`hungarian`]: Kuhn–Munkres optimal assignment, needed by UACC;
 //! - [`metrics`]: UACC / NMI / Rand-index (Eqs. 15–17) plus the silhouette
 //!   coefficient used to quantify the paper's t-SNE separation figures;
@@ -25,6 +26,6 @@ pub mod metrics;
 pub mod points;
 
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
-pub use kmedoids::{kmedoids, kmedoids_alternating, KMedoidsConfig, KMedoidsResult};
+pub use kmedoids::{kmedoids_alternating, KMedoidsConfig, KMedoidsResult};
 pub use metrics::{nmi, rand_index, silhouette, uacc};
 pub use points::Points;

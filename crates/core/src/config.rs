@@ -103,9 +103,6 @@ pub struct E2dtcConfig {
     pub skipgram: SkipGramConfig,
     /// Active loss terms.
     pub loss_mode: LossMode,
-    /// Adds Luong dot-product attention to the decoder (extension beyond
-    /// the paper; see `traj_nn::layers::DotAttention`).
-    pub attention: bool,
     /// Write a training checkpoint every this many completed epochs
     /// (counting across both phases); `0` disables periodic
     /// checkpointing. Requires [`E2dtcConfig::checkpoint_dir`].
@@ -156,7 +153,6 @@ impl E2dtcConfig {
             augment: AugmentConfig::default(),
             skipgram: SkipGramConfig::default(),
             loss_mode: LossMode::L2,
-            attention: false,
             checkpoint_every: 0,
             checkpoint_dir: None,
             checkpoint_keep_last: 2,
@@ -192,7 +188,6 @@ impl E2dtcConfig {
             augment: AugmentConfig::light(),
             skipgram: SkipGramConfig { window: 5, epochs: 8, ..Default::default() },
             loss_mode: LossMode::L2,
-            attention: false,
             checkpoint_every: 0,
             checkpoint_dir: None,
             checkpoint_keep_last: 2,

@@ -233,13 +233,13 @@ mod tests {
 
     /// Encodes a pretrained model's dataset on a tape, batch by
     /// length bucket, and compares every row with [`embed_tokenized`].
-    fn assert_tape_matches_eval(attention: bool) {
+    #[test]
+    fn tape_encode_is_bit_identical_to_embed_tokenized() {
         let city = tiny_city(30, 3);
         let batch_size = 8;
         let mut cfg = E2dtcConfig::tiny(3);
         cfg.layers = 2;
         cfg.batch_size = batch_size;
-        cfg.attention = attention;
         let mut model = E2dtc::new(&city.dataset, cfg);
         // One epoch so the weights are not the init.
         let _ = model.pretrain(&city.dataset, 1);
@@ -259,21 +259,11 @@ mod tests {
         for batch in &buckets {
             tape.clear();
             let refs: Vec<&[usize]> = batch.iter().map(|&i| sequences[i].as_slice()).collect();
-            let enc = model.model.encode(&mut tape, &model.store, &refs);
-            let repr = tape.value(enc.repr);
+            let state = model.model.encode(&mut tape, &model.store, &refs);
+            let repr = tape.value(*state.last().expect("at least one layer"));
             for (row, &i) in batch.iter().enumerate() {
                 assert_eq!(bits(repr.row(row)), bits(eval.row(i)), "trajectory {i}");
             }
         }
-    }
-
-    #[test]
-    fn tape_encode_is_bit_identical_to_embed_tokenized() {
-        assert_tape_matches_eval(false);
-    }
-
-    #[test]
-    fn tape_encode_is_bit_identical_to_embed_tokenized_with_attention() {
-        assert_tape_matches_eval(true);
     }
 }

@@ -94,14 +94,8 @@ impl E2dtc {
         );
         let weights = WeightTable::build(&grid, &vocab, &cell_vectors, cfg.knn_k, cfg.alpha);
         let mut store = ParamStore::new();
-        let model = Seq2Seq::with_options(
-            &mut store,
-            cell_vectors,
-            cfg.hidden_dim,
-            cfg.layers,
-            cfg.attention,
-            &mut rng,
-        );
+        let model =
+            Seq2Seq::new(&mut store, cell_vectors, cfg.hidden_dim, cfg.layers, &mut rng);
         let opt = Adam::new(cfg.lr).with_max_grad_norm(cfg.max_grad_norm);
         Self {
             cfg,

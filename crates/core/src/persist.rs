@@ -24,9 +24,9 @@
 //! v3 files still load (their `store.grads` is ignored, as are the Adam
 //! moments of a v3 plain save when serving); a file without the header
 //! or with an older version is a typed error. Loading then validates
-//! the parameter count, each parameter's registration name and shape
-//! against a freshly-built architecture, and the finiteness of every
-//! weight. That relies on [`crate::seq2seq::Seq2Seq::new`] registering
+//! the parameter count, each tensor's value count against its shape,
+//! each parameter's registration name and shape against a freshly-built
+//! architecture, and the finiteness of every weight. That relies on [`crate::seq2seq::Seq2Seq::new`] registering
 //! the same tensors in the same order for a given architecture (a unit
 //! test pins this invariant).
 
@@ -268,9 +268,12 @@ fn verify_and_strip_header(bytes: &[u8]) -> Result<&[u8], PersistError> {
     if !(3..=FORMAT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion(version));
     }
+    // Exactly the 16 lowercase digits the writer emits: a bit flip that
+    // turns `a` into `A` must not leave a header that still verifies.
     let checksum = fields
         .next()
         .and_then(|v| v.strip_prefix("fnv1a64="))
+        .filter(|v| v.len() == 16 && v.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
         .and_then(|v| u64::from_str_radix(v, 16).ok())
         .ok_or_else(|| PersistError::BadHeader(format!("unparseable checksum in `{header}`")))?;
     let len = fields
@@ -334,12 +337,33 @@ struct LoadedParts {
 /// Reads, verifies, and validates a checkpoint file — the shared loading
 /// path behind [`FrozenEncoder::from_checkpoint`] and [`E2dtc::resume`].
 fn load_parts(path: &Path) -> Result<LoadedParts, PersistError> {
-    let bytes = std::fs::read(path)?;
-    let payload = verify_and_strip_header(&bytes)?;
+    parse_parts(&std::fs::read(path)?)
+}
+
+/// [`load_parts`] on the file's bytes.
+fn parse_parts(bytes: &[u8]) -> Result<LoadedParts, PersistError> {
+    let payload = verify_and_strip_header(bytes)?;
     let payload = std::str::from_utf8(payload)
         .map_err(|_| PersistError::Json("payload is not UTF-8".into()))?;
     let saved: SavedModel =
         serde_json::from_str(payload).map_err(|e| PersistError::Json(e.to_string()))?;
+
+    // The tensor count is checked before `config.layers` builds anything.
+    let SavedParams { params, names } = saved.store;
+    let expected = Seq2Seq::param_count(saved.config.layers) + usize::from(saved.has_centroids);
+    if params.len() != expected || names.len() != expected {
+        return Err(PersistError::ParamCountMismatch { saved: params.len(), expected });
+    }
+    if let Some((name, t)) =
+        names.iter().zip(&params).find(|(_, t)| t.rows().checked_mul(t.cols()) != Some(t.len()))
+    {
+        return Err(PersistError::Json(format!(
+            "parameter `{name}` holds {} values for shape {}x{}",
+            t.len(),
+            t.rows(),
+            t.cols()
+        )));
+    }
 
     // Rebuild the architecture in a fresh store: parameter ids are
     // assigned in deterministic registration order, so the layer handles
@@ -350,19 +374,8 @@ fn load_parts(path: &Path) -> Result<LoadedParts, PersistError> {
     let mut store = ParamStore::new();
     let mut rng = StdRng::seed_from_u64(saved.config.seed);
     let placeholder = Tensor::zeros(saved.vocab.size(), saved.config.embed_dim);
-    let model = Seq2Seq::with_options(
-        &mut store,
-        placeholder,
-        saved.config.hidden_dim,
-        saved.config.layers,
-        saved.config.attention,
-        &mut rng,
-    );
-    let SavedParams { params, names } = saved.store;
-    let expected = store.len() + usize::from(saved.has_centroids);
-    if params.len() != expected || names.len() != expected {
-        return Err(PersistError::ParamCountMismatch { saved: params.len(), expected });
-    }
+    let model =
+        Seq2Seq::new(&mut store, placeholder, saved.config.hidden_dim, saved.config.layers, &mut rng);
     let mut saved_params = names.into_iter().zip(params);
     for (id, (name, tensor)) in store.ids().zip(&mut saved_params) {
         let want = store.get(id).shape();
@@ -410,16 +423,40 @@ impl FrozenEncoder {
     /// query path needs is kept mutable, so the result is `Send + Sync`
     /// without further ceremony.
     pub fn from_checkpoint(path: impl AsRef<Path>) -> Result<FrozenEncoder, PersistError> {
-        let parts = load_parts(path.as_ref())?;
-        let centroids = parts.centroids.map(|id| parts.store.get(id).clone());
-        Ok(FrozenEncoder::from_parts(
-            parts.cfg,
-            parts.grid,
-            parts.vocab,
-            parts.store,
-            parts.model,
-            centroids,
-        ))
+        Ok(load_parts(path.as_ref())?.into_frozen())
+    }
+}
+
+impl LoadedParts {
+    fn into_frozen(self) -> FrozenEncoder {
+        let centroids = self.centroids.map(|id| self.store.get(id).clone());
+        FrozenEncoder::from_parts(self.cfg, self.grid, self.vocab, self.store, self.model, centroids)
+    }
+
+    /// The trainable model with its cursor, for [`E2dtc::resume`].
+    fn into_trainer(self) -> Result<E2dtc, PersistError> {
+        let (Some(st), Some(opt)) = (self.training, self.opt) else {
+            return Err(PersistError::NotATrainingCheckpoint);
+        };
+        if st.rng.len() != 4 {
+            return Err(PersistError::BadRngState(st.rng.len()));
+        }
+        Ok(E2dtc {
+            rng: StdRng::restore(rng_state_from(&st.rng)),
+            pending: Some(st),
+            recorder: traj_obs::global(),
+            cfg: self.cfg,
+            grid: self.grid,
+            vocab: self.vocab,
+            weights: self.weights,
+            store: self.store,
+            model: self.model,
+            centroids: self.centroids,
+            opt,
+            sequences: Vec::new(),
+            #[cfg(feature = "fault-injection")]
+            fault: None,
+        })
     }
 }
 
@@ -523,29 +560,7 @@ impl E2dtc {
     }
 
     fn resume_file(path: &Path) -> Result<E2dtc, PersistError> {
-        let parts = load_parts(path)?;
-        let (Some(st), Some(opt)) = (parts.training, parts.opt) else {
-            return Err(PersistError::NotATrainingCheckpoint);
-        };
-        if st.rng.len() != 4 {
-            return Err(PersistError::BadRngState(st.rng.len()));
-        }
-        Ok(E2dtc {
-            rng: StdRng::restore(rng_state_from(&st.rng)),
-            pending: Some(st),
-            recorder: traj_obs::global(),
-            cfg: parts.cfg,
-            grid: parts.grid,
-            vocab: parts.vocab,
-            weights: parts.weights,
-            store: parts.store,
-            model: parts.model,
-            centroids: parts.centroids,
-            opt,
-            sequences: Vec::new(),
-            #[cfg(feature = "fault-injection")]
-            fault: None,
-        })
+        load_parts(path)?.into_trainer()
     }
 }
 
@@ -555,6 +570,7 @@ mod tests {
     use crate::config::E2dtcConfig;
     use crate::model::Phase;
     use crate::test_util::tiny_city;
+    use rand::Rng;
     use serde::Value;
 
     fn trained_model() -> (E2dtc, traj_data::Dataset) {
@@ -596,11 +612,16 @@ mod tests {
         serde_json::parse_value_str(std::str::from_utf8(payload).expect("utf8")).expect("json")
     }
 
+    /// `payload` under a verifying header that claims format `version`.
+    fn frame(version: u32, payload: &[u8]) -> Vec<u8> {
+        let hash = fnv1a64(payload);
+        let header = format!("{MAGIC} v{version} fnv1a64={hash:016x} len={}\n", payload.len());
+        [header.as_bytes(), payload].concat()
+    }
+
     /// Writes `payload` under a header claiming format `version`.
     fn write_framed(path: &Path, version: u32, payload: &str) {
-        let hash = fnv1a64(payload.as_bytes());
-        let header = format!("{MAGIC} v{version} fnv1a64={hash:016x} len={}\n", payload.len());
-        std::fs::write(path, header + payload).expect("write");
+        std::fs::write(path, frame(version, payload.as_bytes())).expect("write");
     }
 
     /// Rewrites a v4 file in the layout v3 writers produced: zero
@@ -897,6 +918,200 @@ mod tests {
     #[test]
     fn load_rejects_missing_file() {
         assert!(FrozenEncoder::from_checkpoint("/nonexistent/model.json").is_err());
+    }
+
+    /// A small training checkpoint, with optimizer state, cursor and
+    /// centroids all present, as file bytes.
+    fn small_checkpoint(dir: &Path) -> Vec<u8> {
+        let dataset = tiny_city(10, 2).dataset;
+        let mut cfg = E2dtcConfig::tiny(2);
+        (cfg.embed_dim, cfg.hidden_dim) = (4, 4);
+        let mut model = E2dtc::new(&dataset, cfg);
+        model.init_centroids(&model.embed_dataset(&dataset));
+        let path = dir.join(checkpoint_file_name(1));
+        model.save_checkpoint(&path, &cursor()).expect("save");
+        std::fs::read(&path).expect("read")
+    }
+
+    fn header_len(bytes: &[u8]) -> usize {
+        bytes.iter().position(|&b| b == b'\n').expect("header line") + 1
+    }
+
+    /// What `from_checkpoint` and `resume` run on a file's bytes must
+    /// return `Err` for `bytes`, and must not panic.
+    fn assert_both_reject(bytes: &[u8], case: &str) {
+        let outcome = std::panic::catch_unwind(|| {
+            (
+                parse_parts(bytes).map(LoadedParts::into_frozen).is_err(),
+                parse_parts(bytes).and_then(LoadedParts::into_trainer).is_err(),
+            )
+        });
+        match outcome {
+            Ok((true, true)) => {}
+            Ok((frozen, resume)) => {
+                panic!("{case}: accepted (frozen rejected: {frozen}, resume rejected: {resume})")
+            }
+            Err(_) => panic!("{case}: the loader panicked"),
+        }
+    }
+
+    #[test]
+    fn truncated_flipped_and_random_bytes_are_typed_errors() {
+        let dir = test_dir("hostile_bytes");
+        let good = small_checkpoint(&dir);
+        assert!(parse_parts(&good).map(LoadedParts::into_frozen).is_ok());
+        assert!(parse_parts(&good).and_then(LoadedParts::into_trainer).is_ok());
+        // The public entry points, on files.
+        let path = dir.join("torn.json");
+        std::fs::write(&path, &good[..good.len() / 2]).expect("write");
+        assert!(FrozenEncoder::from_checkpoint(&path).is_err());
+        assert!(E2dtc::resume(&path).is_err());
+
+        for len in 0..good.len() {
+            assert_both_reject(&good[..len], &format!("truncated to {len} bytes"));
+        }
+        // Every header bit, and payload bits spread over the whole payload
+        // (each payload flip costs a checksum pass).
+        let header = header_len(&good);
+        let stride = (good.len() - header) / 200 + 1;
+        let payload_bytes = (header..good.len()).step_by(stride).chain([good.len() - 1]);
+        for pos in (0..header).chain(payload_bytes) {
+            for bit in 0..8 {
+                let mut flipped = good.clone();
+                flipped[pos] ^= 1 << bit;
+                assert_both_reject(&flipped, &format!("bit {bit} of byte {pos} flipped"));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(11);
+        for len in [0, 1, 7, 64, 4096] {
+            for _ in 0..8 {
+                let noise: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                assert_both_reject(&noise, &format!("{len} random bytes"));
+                let behind_magic = [MAGIC.as_bytes(), &noise].concat();
+                assert_both_reject(&behind_magic, &format!("magic + {len} random bytes"));
+                assert_both_reject(&frame(4, &noise), &format!("{len} random payload bytes"));
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_payloads_under_a_valid_header_are_typed_errors() {
+        let dir = test_dir("hostile_json");
+        let good = small_checkpoint(&dir);
+        let payload = std::str::from_utf8(&good[header_len(&good)..]).expect("utf8");
+        let Value::Object(fields) = serde_json::parse_value_str(payload).expect("json") else {
+            panic!("payload is an object")
+        };
+        let reject = |v: &Value, case: &str| {
+            assert_both_reject(&frame(4, serde_json::to_string(v).expect("json").as_bytes()), case)
+        };
+
+        let deep = "[".repeat(10_000);
+        for raw in ["", "{", "null", "[]", "0", "\"model\"", "{}", deep.as_str()] {
+            assert_both_reject(&frame(4, raw.as_bytes()), &format!("payload `{:.20}`", raw));
+        }
+        let kinds = [
+            Value::Null,
+            Value::Bool(true),
+            Value::UInt(0),
+            Value::Str("x".into()),
+            Value::Array(Vec::new()),
+            Value::Object(Vec::new()),
+        ];
+        for (i, (key, original)) in fields.iter().enumerate() {
+            let mut dropped = fields.clone();
+            dropped.remove(i);
+            reject(&Value::Object(dropped), &format!("without `{key}`"));
+            for kind in &kinds {
+                // A `null` optimizer or cursor is a plain save, which is valid.
+                let plain = *kind == Value::Null && matches!(key.as_str(), "opt" | "training");
+                if std::mem::discriminant(kind) == std::mem::discriminant(original) || plain {
+                    continue;
+                }
+                let mut retyped = fields.clone();
+                retyped[i].1 = kind.clone();
+                reject(&Value::Object(retyped), &format!("`{key}` as {kind:?}"));
+            }
+        }
+
+        // A tensor whose data disagrees with its shape.
+        let mut short = fields.clone();
+        let (_, Value::Object(store)) = short.iter_mut().find(|(k, _)| k == "store").unwrap() else {
+            panic!("store is an object")
+        };
+        let Value::Array(params) = &mut store[0].1 else { panic!("store.params is an array") };
+        let Value::Object(tensor) = &mut params[0] else { panic!("a tensor is an object") };
+        let Value::Array(data) = &mut tensor[2].1 else { panic!("tensor data is an array") };
+        data.pop();
+        reject(&Value::Object(short), "tensor one value short of its shape");
+
+        // No GRU layers: the architecture cannot be built at all.
+        let mut no_layers = fields.clone();
+        for (key, value) in config_of(&mut no_layers) {
+            if key == "layers" {
+                *value = Value::UInt(0);
+            }
+        }
+        reject(&Value::Object(no_layers), "config.layers = 0");
+    }
+
+    /// A plain save's payload, edited by `edit` and re-framed as v4.
+    fn edited_plain_save(
+        model: &E2dtc,
+        path: &Path,
+        edit: impl FnOnce(&mut Vec<(String, Value)>),
+    ) -> PathBuf {
+        model.save(path).expect("save");
+        let Value::Object(mut fields) = payload_value(path) else { panic!("payload is an object") };
+        edit(&mut fields);
+        write_framed(path, 4, &serde_json::to_string(&Value::Object(fields)).expect("json"));
+        path.to_path_buf()
+    }
+
+    fn config_of(fields: &mut [(String, Value)]) -> &mut Vec<(String, Value)> {
+        match fields.iter_mut().find(|(k, _)| k == "config") {
+            Some((_, Value::Object(cfg))) => cfg,
+            _ => panic!("config is an object"),
+        }
+    }
+
+    /// The config key v4 files of older builds carry for their optional
+    /// decoder layer, which this build no longer has.
+    const REMOVED_DECODER_KEY: &str = "attention";
+
+    #[test]
+    fn v4_files_with_the_removed_decoder_option() {
+        let (model, dataset) = trained_model();
+        let dir = test_dir("removed_decoder_key");
+
+        // Option off: the stale config key is ignored.
+        let off = edited_plain_save(&model, &dir.join("off.json"), |fields| {
+            config_of(fields).push((REMOVED_DECODER_KEY.into(), Value::Bool(false)));
+        });
+        let frozen = FrozenEncoder::from_checkpoint(&off).expect("stale key loads");
+        assert_eq!(frozen.embed_dataset(&dataset), model.embed_dataset(&dataset));
+
+        // Option on: the decoder registered `attn.combine.weight` after the
+        // projection, before the centroids. No architecture here has it.
+        let hidden = model.cfg.hidden_dim;
+        let on = edited_plain_save(&model, &dir.join("on.json"), |fields| {
+            config_of(fields).push((REMOVED_DECODER_KEY.into(), Value::Bool(true)));
+            let Some((_, Value::Object(store))) = fields.iter_mut().find(|(k, _)| k == "store")
+            else {
+                panic!("store is an object")
+            };
+            let at = model.store.len() - 1;
+            let Value::Array(params) = &mut store[0].1 else { panic!("params") };
+            params.insert(at, Tensor::zeros(2 * hidden, hidden).to_value());
+            let Value::Array(names) = &mut store[1].1 else { panic!("names") };
+            names.insert(at, Value::Str("attn.combine.weight".into()));
+        });
+        match expect_err(FrozenEncoder::from_checkpoint(&on)) {
+            PersistError::ParamCountMismatch { saved, expected } => {
+                assert_eq!((saved, expected), (model.store.len() + 1, model.store.len()))
+            }
+            other => panic!("expected ParamCountMismatch, got {other:?}"),
+        }
     }
 
     #[test]

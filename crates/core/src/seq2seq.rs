@@ -15,7 +15,7 @@
 use crate::spatial_loss::WeightTable;
 use crate::vocab::{BOS, UNK};
 use rand::Rng;
-use traj_nn::layers::{DotAttention, Embedding, Gru, Linear};
+use traj_nn::layers::{Embedding, Gru, Linear};
 use traj_nn::{ParamStore, Tape, Tensor, Var};
 
 /// Encoder + decoder + output projection, sharing one token-embedding
@@ -32,19 +32,6 @@ pub struct Seq2Seq {
     pub decoder: Gru,
     /// Hidden-to-vocabulary projection (`W` of Eq. 8).
     pub projection: Linear,
-    /// Optional Luong dot-product attention over the encoder outputs
-    /// (extension beyond the paper).
-    pub attention: Option<DotAttention>,
-}
-
-/// Output of an encoder pass.
-pub struct Encoded {
-    /// Per-layer final hidden states, `(batch, hidden)` each.
-    pub state: Vec<Var>,
-    /// Top-layer final hidden state — the trajectory representation `v_T`.
-    pub repr: Var,
-    /// Top-layer hidden state at every timestep (attention keys/values).
-    pub outputs: Vec<Var>,
 }
 
 impl Seq2Seq {
@@ -56,26 +43,20 @@ impl Seq2Seq {
         layers: usize,
         rng: &mut impl Rng,
     ) -> Self {
-        Self::with_options(store, cell_vectors, hidden_dim, layers, false, rng)
-    }
-
-    /// [`Seq2Seq::new`] with the optional decoder attention enabled.
-    pub fn with_options(
-        store: &mut ParamStore,
-        cell_vectors: Tensor,
-        hidden_dim: usize,
-        layers: usize,
-        attention: bool,
-        rng: &mut impl Rng,
-    ) -> Self {
         let vocab = cell_vectors.rows();
         let embed_dim = cell_vectors.cols();
         let embedding = Embedding::from_pretrained(store, "token", cell_vectors);
         let encoder = Gru::new(store, "encoder", embed_dim, hidden_dim, layers, rng);
         let decoder = Gru::new(store, "decoder", embed_dim, hidden_dim, layers, rng);
-        let projection = Linear::new(store, "proj", hidden_dim, vocab, true, rng);
-        let attention = attention.then(|| DotAttention::new(store, "attn", hidden_dim, rng));
-        Self { embedding, encoder, decoder, projection, attention }
+        let projection = Linear::new(store, "proj", hidden_dim, vocab, rng);
+        Self { embedding, encoder, decoder, projection }
+    }
+
+    /// Number of tensors [`Seq2Seq::new`] registers for `layers` GRU
+    /// layers: the token table, four per layer in the encoder and in the
+    /// decoder, and the projection's weight and bias. Saturates.
+    pub(crate) fn param_count(layers: usize) -> usize {
+        layers.saturating_mul(8).saturating_add(3)
     }
 
     /// Trajectory-representation dimensionality.
@@ -83,37 +64,33 @@ impl Seq2Seq {
         self.encoder.hidden_dim()
     }
 
-    /// Encodes a batch of dense token sequences.
+    /// Encodes a batch of dense token sequences into the per-layer final
+    /// hidden states, `(batch, hidden)` each. The last one, the top
+    /// layer's, is the trajectory representation `v_T`.
     ///
     /// # Panics
     /// Panics on an empty batch or an empty sequence.
-    pub fn encode(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        seqs: &[&[usize]],
-    ) -> Encoded {
+    pub fn encode(&self, tape: &mut Tape, store: &ParamStore, seqs: &[&[usize]]) -> Vec<Var> {
         assert!(!seqs.is_empty(), "empty batch");
         assert!(seqs.iter().all(|s| !s.is_empty()), "empty sequence in batch");
         let batch = seqs.len();
         let max_len = seqs.iter().map(|s| s.len()).max().expect("non-empty batch");
 
         let mut state = self.encoder.zero_state(tape, batch);
-        let mut outputs = Vec::with_capacity(max_len);
         let mut live_buf = Vec::with_capacity(batch);
         for t in 0..max_len {
             let ids: Vec<usize> =
                 seqs.iter().map(|s| s.get(t).copied().unwrap_or(UNK)).collect();
             let x = self.embedding.forward(tape, store, &ids);
             let live = live_rows(seqs, t, &mut live_buf);
-            outputs.push(self.encoder.step(tape, store, x, &mut state, live));
+            self.encoder.step(tape, store, x, &mut state, live);
         }
-        let repr = *state.last().expect("at least one layer");
-        Encoded { state, repr, outputs }
+        state
     }
 
     /// Teacher-forced reconstruction loss (Eq. 8) of `targets` given the
-    /// encoder state. Returns the scalar mean-per-position loss node.
+    /// encoder's final states `init_state`. Returns the scalar
+    /// mean-per-position loss node.
     ///
     /// # Panics
     /// Panics if `init_state` depth mismatches the decoder, or on empty
@@ -122,11 +99,10 @@ impl Seq2Seq {
         &self,
         tape: &mut Tape,
         store: &ParamStore,
-        encoded: &Encoded,
+        init_state: &[Var],
         targets: &[&[usize]],
         weights: &WeightTable,
     ) -> Var {
-        let init_state = &encoded.state;
         assert_eq!(init_state.len(), self.decoder.layers(), "state depth mismatch");
         assert!(!targets.is_empty(), "empty batch");
         assert!(targets.iter().all(|s| !s.is_empty()), "empty target in batch");
@@ -145,10 +121,6 @@ impl Seq2Seq {
             let x = self.embedding.forward(tape, store, &ids);
             let live = live_rows(targets, t, &mut live_buf);
             let h = self.decoder.step(tape, store, x, &mut state, live);
-            let h = match &self.attention {
-                Some(attn) => attn.attend(tape, store, h, &encoded.outputs),
-                None => h,
-            };
             let logits = self.projection.forward(tape, store, h);
             let rows: Vec<Vec<(usize, f32)>> = targets
                 .iter()
@@ -214,13 +186,23 @@ mod tests {
     }
 
     #[test]
+    fn param_count_matches_registration() {
+        for layers in 1..=3 {
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(0);
+            let _ = Seq2Seq::new(&mut store, Tensor::zeros(6, 4), 5, layers, &mut rng);
+            assert_eq!(store.len(), Seq2Seq::param_count(layers), "{layers} layers");
+        }
+    }
+
+    #[test]
     fn encode_handles_variable_lengths() {
         let (store, model) = tiny_model(10, 0);
         let mut tape = Tape::new();
         let seqs: Vec<&[usize]> = vec![&[2, 3, 4, 5], &[6, 7]];
-        let enc = model.encode(&mut tape, &store, &seqs);
-        assert_eq!(tape.value(enc.repr).shape(), (2, 12));
-        assert_eq!(enc.state.len(), 2);
+        let state = model.encode(&mut tape, &store, &seqs);
+        assert_eq!(state.len(), 2);
+        assert_eq!(tape.value(state[1]).shape(), (2, 12));
     }
 
     #[test]
@@ -232,8 +214,8 @@ mod tests {
         let enc_batch = model.encode(&mut tape, &store, &batch);
         let solo: Vec<&[usize]> = vec![&[6, 7]];
         let enc_solo = model.encode(&mut tape, &store, &solo);
-        let padded_row = tape.value(enc_batch.repr).row(1).to_vec();
-        let solo_row = tape.value(enc_solo.repr).row(0).to_vec();
+        let padded_row = tape.value(enc_batch[1]).row(1).to_vec();
+        let solo_row = tape.value(enc_solo[1]).row(0).to_vec();
         for (a, b) in padded_row.iter().zip(&solo_row) {
             assert!((a - b).abs() < 1e-6, "padding leaked: {a} vs {b}");
         }

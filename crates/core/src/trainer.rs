@@ -59,7 +59,7 @@ use traj_data::{Dataset, Trajectory};
 use traj_nn::optim::Adam;
 use traj_nn::{
     student_t_assignment, target_distribution, GuardVerdict, NonFiniteGuard, ParamId,
-    ParamStore, Tape, Tensor,
+    ParamStore, Tape, Tensor, Var,
 };
 
 /// Hard cap on guard rollbacks per `fit` call. Replaying an epoch from
@@ -271,7 +271,7 @@ impl E2dtc {
 
         // — Phase 2: pre-training (skipped entirely when resuming past it) —
         if st.phase == Phase::Pretrain {
-            let _phase_span = self.recorder.span("pretrain");
+            let pretrain_span = self.recorder.span("pretrain");
             self.run_phase(dataset, &mut run, &mut st, callback);
 
             if self.cfg.loss_mode == LossMode::L0 {
@@ -289,6 +289,7 @@ impl E2dtc {
                     self.cfg.seed ^ 0x6b6d65616e73,
                 );
                 callback(0, emb.data(), &res.assignment);
+                drop(pretrain_span);
                 drop(fit_span);
                 self.finish_run();
                 return FitResult {
@@ -548,7 +549,8 @@ impl E2dtc {
         // Self-training anchors are the *original* sequences, encoded
         // first; the corrupted variants are the positives and drive
         // reconstruction in both phases.
-        let anchors = targets.map(|_| self.model.encode(tape, &self.store, &original_refs));
+        let top = |state: Vec<Var>| *state.last().expect("at least one layer");
+        let anchors = targets.map(|_| top(self.model.encode(tape, &self.store, &original_refs)));
         let enc_corr = self.model.encode(tape, &self.store, &input_refs);
         let l_r = self.model.reconstruction_loss(
             tape,
@@ -557,6 +559,7 @@ impl E2dtc {
             &original_refs,
             &self.weights,
         );
+        let positives = top(enc_corr);
         let mut total = l_r;
         let lr_val = tape.value(l_r).get(0, 0);
         let mut lc_val = 0.0;
@@ -570,20 +573,15 @@ impl E2dtc {
                 p_batch.row_mut(row).copy_from_slice(t.p.row(i));
             }
             let cvar = tape.param(&self.store, t.centroids);
-            let l_c = tape.dec_kl(anchors.repr, cvar, p_batch);
+            let l_c = tape.dec_kl(anchors, cvar, p_batch);
             lc_val = tape.value(l_c).get(0, 0);
             let scaled = tape.scale(l_c, self.cfg.beta);
             total = tape.add(total, scaled);
 
             if self.cfg.loss_mode == LossMode::L2 && batch.len() >= 2 {
                 let negatives = mine_negatives(batch, &t.assign, &t.emb);
-                let neg_rows = tape.gather_rows(anchors.repr, &negatives);
-                let l_t = tape.triplet(
-                    anchors.repr,
-                    enc_corr.repr,
-                    neg_rows,
-                    self.cfg.triplet_margin,
-                );
+                let neg_rows = tape.gather_rows(anchors, &negatives);
+                let l_t = tape.triplet(anchors, positives, neg_rows, self.cfg.triplet_margin);
                 lt_val = tape.value(l_t).get(0, 0);
                 let scaled = tape.scale(l_t, self.cfg.gamma);
                 total = tape.add(total, scaled);

@@ -50,30 +50,6 @@ fn fit_embeddings_are_bit_identical_to_frozen_embed_dataset() {
 }
 
 #[test]
-fn parity_survives_attention_configs() {
-    // The encoder never attends; with attention on, the decoder registers
-    // extra parameters. What this pins is that they do not shift the
-    // encoder's parameters through freeze and a checkpoint round trip.
-    let city = tiny_city(20, 2);
-    let mut cfg = E2dtcConfig::tiny(2);
-    cfg.attention = true;
-    let mut model = E2dtc::new(&city.dataset, cfg);
-    let _ = model.pretrain(&city.dataset, 1);
-    let live = model.embed_dataset(&city.dataset);
-    let frozen = model.freeze().embed_dataset(&city.dataset);
-    assert_bit_identical(&live, &frozen, "attention config: freeze()");
-
-    let dir = std::env::temp_dir().join(format!("e2dtc_parity_attn_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("model.json");
-    model.save(&path).expect("save");
-    let loaded = FrozenEncoder::from_checkpoint(&path).expect("from_checkpoint");
-    let restored = loaded.embed_dataset(&city.dataset);
-    assert_bit_identical(&live, &restored, "attention config: checkpoint");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn checkpoint_roundtrip_preserves_frozen_forward_bitwise() {
     let city = tiny_city(25, 3);
     let mut model = E2dtc::new(&city.dataset, E2dtcConfig::tiny(3));

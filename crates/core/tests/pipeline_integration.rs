@@ -170,24 +170,3 @@ fn trained_model_transfers_to_unseen_data_from_same_city() {
         "transfer accuracy {acc} barely above chance on unseen data"
     );
 }
-
-#[test]
-fn attention_variant_trains_and_persists() {
-    // The optional decoder attention (extension) must train end-to-end,
-    // produce valid assignments, and survive a save/load round trip.
-    let data = small_city(80, 15);
-    let mut cfg = E2dtcConfig::tiny(data.num_clusters);
-    cfg.attention = true;
-    let mut model = E2dtc::new(&data.dataset, cfg);
-    let fit = model.fit(&data.dataset);
-    assert!(fit.assignments.iter().all(|&c| c < data.num_clusters));
-
-    let dir = std::env::temp_dir().join("e2dtc_attn_test");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("attn_model.json");
-    model.save(&path).expect("save");
-    let frozen = e2dtc::FrozenEncoder::from_checkpoint(&path).expect("load");
-    let emb = frozen.embed_dataset(&data.dataset);
-    assert_eq!(model.assign(&data.dataset), frozen.hard_assign(&emb));
-    std::fs::remove_file(path).ok();
-}

@@ -105,6 +105,42 @@ fn cli_train_with_log_json_produces_a_valid_complete_log() {
 }
 
 #[test]
+fn cli_train_l0_log_closes_pretrain_before_fit() {
+    // L0 ends inside pre-training (k-means on the pretrained embeddings),
+    // so its early return must still close `pretrain` before `fit`.
+    let dir = std::env::temp_dir().join(format!("e2dtc_runlog_l0_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let data = dir.join("data.json");
+    let model = dir.join("model.json");
+    let log = dir.join("l0.jsonl");
+
+    let status = Command::new(bin())
+        .args(["generate", "--kind", "hangzhou", "--n", "20", "--seed", "5"])
+        .args(["--out", data.to_str().unwrap(), "--quiet"])
+        .status()
+        .expect("launch generate");
+    assert!(status.success(), "generate failed");
+
+    let out = Command::new(bin())
+        .args(["train", "--data", data.to_str().unwrap()])
+        .args(["--out", model.to_str().unwrap()])
+        .args(["--preset", "fast", "--loss", "l0", "--seed", "5", "--quiet"])
+        .args(["--log-json", log.to_str().unwrap()])
+        .output()
+        .expect("launch train");
+    assert!(out.status.success(), "train failed: {}", String::from_utf8_lossy(&out.stderr));
+
+    let text = std::fs::read_to_string(&log).expect("run log exists");
+    let v = parse_jsonl(&text).unwrap_or_else(|e| panic!("L0 log failed validation: {e}"));
+    assert!(v.complete, "an L0 run must end with run_end and no open spans");
+    for span in ["fit", "pretrain"] {
+        assert!(v.span_total_ms(span) > 0.0, "span `{span}` missing or never closed");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cli_evaluate_logs_a_minimal_valid_run() {
     // A command that never trains still produces a schema-valid log.
     let dir = std::env::temp_dir().join(format!("e2dtc_runlog_eval_{}", std::process::id()));

@@ -18,7 +18,7 @@
 //! (sequences still running): the eval step gathers them into scratch
 //! buffers, runs the kernel on that compact batch and scatters `h'` back
 //! into the state, so ended rows keep their state untouched. The
-//! decoder, projection and attention only ever run under a loss that is
+//! decoder and projection only ever run under a loss that is
 //! backpropagated, so they have no eval forward.
 //!
 //! # Scratch lifecycle

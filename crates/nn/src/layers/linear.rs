@@ -9,7 +9,7 @@ use rand::Rng;
 #[derive(Clone, Copy, Debug)]
 pub struct Linear {
     weight: ParamId,
-    bias: Option<ParamId>,
+    bias: ParamId,
 }
 
 impl Linear {
@@ -19,12 +19,11 @@ impl Linear {
         name: &str,
         in_dim: usize,
         out_dim: usize,
-        bias: bool,
         rng: &mut impl Rng,
     ) -> Self {
         let weight =
             store.add_init(format!("{name}.weight"), in_dim, out_dim, Init::XavierUniform, rng);
-        let bias = bias.then(|| store.add_init(format!("{name}.bias"), 1, out_dim, Init::Zeros, rng));
+        let bias = store.add_init(format!("{name}.bias"), 1, out_dim, Init::Zeros, rng);
         Self { weight, bias }
     }
 
@@ -37,13 +36,8 @@ impl Linear {
         );
         let w = tape.param(store, self.weight);
         let y = tape.matmul(x, w);
-        match self.bias {
-            Some(b) => {
-                let bv = tape.param(store, b);
-                tape.add_row_broadcast(y, bv)
-            }
-            None => y,
-        }
+        let b = tape.param(store, self.bias);
+        tape.add_row_broadcast(y, b)
     }
 
     /// Weight parameter handle.
@@ -51,8 +45,8 @@ impl Linear {
         self.weight
     }
 
-    /// Bias parameter handle, if the layer has one.
-    pub fn bias(&self) -> Option<ParamId> {
+    /// Bias parameter handle.
+    pub fn bias(&self) -> ParamId {
         self.bias
     }
 }
@@ -68,23 +62,14 @@ mod tests {
     fn forward_shape_and_bias() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut store = ParamStore::new();
-        let layer = Linear::new(&mut store, "fc", 3, 2, true, &mut rng);
+        let layer = Linear::new(&mut store, "fc", 3, 2, &mut rng);
         // Make the weights deterministic for the check.
         *store.get_mut(layer.weight()) =
             Tensor::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
-        *store.get_mut(layer.bias().expect("bias enabled")) = Tensor::row_vector(vec![10.0, 20.0]);
+        *store.get_mut(layer.bias()) = Tensor::row_vector(vec![10.0, 20.0]);
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::from_rows(&[vec![1.0, 2.0, 3.0]]));
         let y = layer.forward(&mut tape, &store, x);
         assert_eq!(tape.value(y).data(), &[14.0, 25.0]);
-    }
-
-    #[test]
-    fn no_bias_variant_skips_bias_param() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut store = ParamStore::new();
-        let layer = Linear::new(&mut store, "fc", 4, 4, false, &mut rng);
-        assert!(layer.bias().is_none());
-        assert_eq!(store.len(), 1);
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let mut store = ParamStore::new();
-//! let layer = Linear::new(&mut store, "fc", 2, 1, true, &mut rng);
+//! let layer = Linear::new(&mut store, "fc", 2, 1, &mut rng);
 //! let mut opt = Adam::new(0.05);
 //!
 //! // Fit y = x0 + x1 on a couple of points.

@@ -50,23 +50,12 @@ enum Op {
     Sigmoid(Var),
     /// hyperbolic tangent
     Tanh(Var),
-    /// `[a | b]` horizontal concatenation
-    ConcatCols { a: Var, b: Var, split: usize },
     /// row gather (embedding lookup)
     GatherRows { table: Var, indices: Vec<usize> },
     /// mean over all elements, producing `(1, 1)`
     MeanAll(Var),
     /// sum over all elements, producing `(1, 1)`
     SumAll(Var),
-    /// row-wise sum: `(r, c) -> (r, 1)`
-    RowSum(Var),
-    /// row-wise softmax (differentiable; the fused NLL below is preferred
-    /// for classification losses)
-    Softmax(Var),
-    /// broadcast multiply of a matrix by a `(r, 1)` column vector
-    ColBroadcastMul { m: Var, col: Var },
-    /// column slice `[start, end)`
-    SliceCols { a: Var, start: usize, end: usize },
     /// Spatial-proximity-aware softmax NLL (paper Eq. 8). For each row of
     /// `logits`, `targets[row]` is a sparse distribution over columns
     /// (the kNN cell weights `w`). Loss = mean over rows of
@@ -215,13 +204,6 @@ impl Tape {
         self.push(value, Op::Tanh(a))
     }
 
-    /// `[a | b]` column concatenation.
-    pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let split = self.value(a).cols();
-        let value = self.value(a).concat_cols(self.value(b));
-        self.push(value, Op::ConcatCols { a, b, split })
-    }
-
     /// Row gather (embedding lookup): output row `i` is `table` row
     /// `indices[i]`.
     pub fn gather_rows(&mut self, table: Var, indices: &[usize]) -> Var {
@@ -239,51 +221,6 @@ impl Tape {
     pub fn sum_all(&mut self, a: Var) -> Var {
         let value = Tensor::from_vec(1, 1, vec![self.value(a).sum()]);
         self.push(value, Op::SumAll(a))
-    }
-
-    /// Row-wise sum, producing a `(rows, 1)` column vector.
-    pub fn row_sum(&mut self, a: Var) -> Var {
-        let src = self.value(a);
-        let data: Vec<f32> = (0..src.rows()).map(|r| src.row(r).iter().sum()).collect();
-        let value = Tensor::from_vec(src.rows(), 1, data);
-        self.push(value, Op::RowSum(a))
-    }
-
-    /// Row-wise softmax (differentiable).
-    pub fn softmax(&mut self, a: Var) -> Var {
-        let value = self.value(a).softmax_rows();
-        self.push(value, Op::Softmax(a))
-    }
-
-    /// Broadcast multiply: each row of `m` scaled by the matching entry of
-    /// the `(rows, 1)` column vector `col`.
-    pub fn col_broadcast_mul(&mut self, m: Var, col: Var) -> Var {
-        let mv = self.value(m);
-        let cv = self.value(col);
-        assert_eq!(cv.cols(), 1, "broadcast operand must be a column vector");
-        assert_eq!(cv.rows(), mv.rows(), "broadcast height mismatch");
-        let mut out = mv.clone();
-        for r in 0..out.rows() {
-            let s = cv.get(r, 0);
-            for x in out.row_mut(r) {
-                *x *= s;
-            }
-        }
-        self.push(out, Op::ColBroadcastMul { m, col })
-    }
-
-    /// Column slice `[start, end)`.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range or empty slice.
-    pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let src = self.value(a);
-        assert!(start < end && end <= src.cols(), "invalid column slice {start}..{end}");
-        let mut out = Tensor::zeros(src.rows(), end - start);
-        for r in 0..src.rows() {
-            out.row_mut(r).copy_from_slice(&src.row(r)[start..end]);
-        }
-        self.push(out, Op::SliceCols { a, start, end })
     }
 
     /// Spatial-proximity-aware softmax NLL (paper Eq. 8).
@@ -457,20 +394,6 @@ impl Tape {
                     let ga = g.zip_map(y, |gv, yv| gv * (1.0 - yv * yv));
                     accumulate(&mut grads, *a, ga);
                 }
-                Op::ConcatCols { a, b, split } => {
-                    let rows = g.rows();
-                    let cols_a = *split;
-                    let cols_b = g.cols() - cols_a;
-                    let mut ga = Tensor::zeros(rows, cols_a);
-                    let mut gb = Tensor::zeros(rows, cols_b);
-                    for r in 0..rows {
-                        let src = g.row(r);
-                        ga.row_mut(r).copy_from_slice(&src[..cols_a]);
-                        gb.row_mut(r).copy_from_slice(&src[cols_a..]);
-                    }
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
-                }
                 Op::GatherRows { table, indices } => {
                     // Sum the gradient rows of each distinct index (in
                     // gather order, from +0) and add each sum once to its
@@ -506,66 +429,6 @@ impl Tape {
                         *a,
                         Tensor::full(src.rows(), src.cols(), g.get(0, 0)),
                     );
-                }
-                Op::RowSum(a) => {
-                    let src = &self.nodes[a.0].value;
-                    let mut ga = Tensor::zeros(src.rows(), src.cols());
-                    for r in 0..src.rows() {
-                        let gv = g.get(r, 0);
-                        ga.row_mut(r).fill(gv);
-                    }
-                    accumulate(&mut grads, *a, ga);
-                }
-                Op::Softmax(a) => {
-                    // dL/dx = y ⊙ (g − Σ_j g_j y_j) per row.
-                    let y = &node.value;
-                    let mut ga = Tensor::zeros(y.rows(), y.cols());
-                    for r in 0..y.rows() {
-                        let dot: f32 =
-                            g.row(r).iter().zip(y.row(r)).map(|(&gi, &yi)| gi * yi).sum();
-                        for ((o, &gi), &yi) in
-                            ga.row_mut(r).iter_mut().zip(g.row(r)).zip(y.row(r))
-                        {
-                            *o = yi * (gi - dot);
-                        }
-                    }
-                    accumulate(&mut grads, *a, ga);
-                }
-                Op::ColBroadcastMul { m, col } => {
-                    let mv = &self.nodes[m.0].value;
-                    let cv = &self.nodes[col.0].value;
-                    // gm = g scaled per row by col; gcol = rowwise dot(g, m).
-                    // g is not needed afterwards, so scale it in place.
-                    let mut gm = g;
-                    let mut gc = Tensor::zeros(cv.rows(), 1);
-                    for r in 0..mv.rows() {
-                        let s = cv.get(r, 0);
-                        let mut dot = 0.0;
-                        for (x, &mvx) in gm.row_mut(r).iter_mut().zip(mv.row(r)) {
-                            dot += *x * mvx;
-                            *x *= s;
-                        }
-                        gc.set(r, 0, dot);
-                    }
-                    accumulate(&mut grads, *m, gm);
-                    accumulate(&mut grads, *col, gc);
-                }
-                Op::SliceCols { a, start, end } => {
-                    // Add into the source's gradient columns in place when
-                    // it already exists; sibling slices of one tensor then
-                    // share a single full-width buffer instead of each
-                    // materializing a mostly-zero copy.
-                    let src = &self.nodes[a.0].value;
-                    let ga = grads[a.0].get_or_insert_with(|| {
-                        Tensor::zeros(src.rows(), src.cols())
-                    });
-                    for r in 0..src.rows() {
-                        for (o, &gv) in
-                            ga.row_mut(r)[*start..*end].iter_mut().zip(g.row(r))
-                        {
-                            *o += gv;
-                        }
-                    }
                 }
                 Op::WeightedSoftmaxNll { logits, targets, probs } => {
                     // d loss / d logits = (softmax - w) / n_active for

@@ -79,21 +79,6 @@ fn sigmoid_tanh_grads() {
 }
 
 #[test]
-fn concat_grads() {
-    let mut store = ParamStore::new();
-    seeded_param(&mut store, "a", 2, 2, 8);
-    seeded_param(&mut store, "b", 2, 3, 9);
-    let ids: Vec<_> = store.ids().collect();
-    assert_grads_close(&mut store, EPS, TOL, |tape, store| {
-        let a = tape.param(store, ids[0]);
-        let b = tape.param(store, ids[1]);
-        let c = tape.concat_cols(a, b);
-        let sq = tape.hadamard(c, c);
-        tape.mean_all(sq)
-    });
-}
-
-#[test]
 fn gather_rows_grads() {
     let mut store = ParamStore::new();
     seeded_param(&mut store, "table", 5, 3, 10);
@@ -163,7 +148,7 @@ fn triplet_grads() {
 fn linear_layer_grads() {
     let mut rng = StdRng::seed_from_u64(17);
     let mut store = ParamStore::new();
-    let layer = Linear::new(&mut store, "fc", 3, 2, true, &mut rng);
+    let layer = Linear::new(&mut store, "fc", 3, 2, &mut rng);
     let x = Tensor::from_rows(&[vec![0.3, -0.2, 0.5], vec![-0.4, 0.8, 0.1]]);
     assert_grads_close(&mut store, EPS, TOL, move |tape, store| {
         let xv = tape.constant(x.clone());
@@ -266,74 +251,6 @@ fn masked_multilayer_gru_bptt_grads() {
         let bottom = tape.hadamard(state[0], state[0]);
         let bottom = tape.sum_all(bottom);
         tape.add(loss.expect("non-empty sequence"), bottom)
-    });
-}
-
-#[test]
-fn row_sum_and_col_broadcast_grads() {
-    let mut store = ParamStore::new();
-    seeded_param(&mut store, "m", 3, 4, 21);
-    seeded_param(&mut store, "col_src", 3, 4, 22);
-    let ids: Vec<_> = store.ids().collect();
-    assert_grads_close(&mut store, EPS, TOL, |tape, store| {
-        let m = tape.param(store, ids[0]);
-        let c_src = tape.param(store, ids[1]);
-        let col = tape.row_sum(c_src);
-        let scaled = tape.col_broadcast_mul(m, col);
-        tape.mean_all(scaled)
-    });
-}
-
-#[test]
-fn softmax_grads() {
-    let mut store = ParamStore::new();
-    seeded_param(&mut store, "x", 2, 5, 23);
-    seeded_param(&mut store, "w", 2, 5, 24);
-    let ids: Vec<_> = store.ids().collect();
-    assert_grads_close(&mut store, EPS, TOL, |tape, store| {
-        let x = tape.param(store, ids[0]);
-        let w = tape.param(store, ids[1]);
-        let s = tape.softmax(x);
-        // Weighted so the gradient is not trivially zero.
-        let prod = tape.hadamard(s, w);
-        tape.sum_all(prod)
-    });
-}
-
-#[test]
-fn slice_cols_grads() {
-    let mut store = ParamStore::new();
-    seeded_param(&mut store, "a", 3, 6, 25);
-    let ids: Vec<_> = store.ids().collect();
-    assert_grads_close(&mut store, EPS, TOL, |tape, store| {
-        let a = tape.param(store, ids[0]);
-        let left = tape.slice_cols(a, 0, 2);
-        let right = tape.slice_cols(a, 3, 6);
-        let sq_l = tape.hadamard(left, left);
-        let sum_l = tape.sum_all(sq_l);
-        let sum_r = tape.mean_all(right);
-        tape.add(sum_l, sum_r)
-    });
-}
-
-#[test]
-fn dot_attention_grads() {
-    use traj_nn::layers::DotAttention;
-    let mut rng = StdRng::seed_from_u64(26);
-    let mut store = ParamStore::new();
-    let attn = DotAttention::new(&mut store, "attn", 3, &mut rng);
-    seeded_param(&mut store, "q", 2, 3, 27);
-    seeded_param(&mut store, "e0", 2, 3, 28);
-    seeded_param(&mut store, "e1", 2, 3, 29);
-    let ids: Vec<_> = store.ids().collect();
-    let n = ids.len();
-    assert_grads_close(&mut store, EPS, TOL, move |tape, store| {
-        let q = tape.param(store, ids[n - 3]);
-        let e0 = tape.param(store, ids[n - 2]);
-        let e1 = tape.param(store, ids[n - 1]);
-        let out = attn.attend(tape, store, q, &[e0, e1]);
-        let sq = tape.hadamard(out, out);
-        tape.sum_all(sq)
     });
 }
 

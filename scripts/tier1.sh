@@ -14,7 +14,7 @@
 #            bench_cluster, bench_dec, bench_pipeline) in --test mode:
 #            each benchmark body runs once so the harnesses and kernels
 #            (fused GRU, projected distance kernels, frozen query engine,
-#            k-medoids ablation, DEC math, Algorithm 2) stay compilable
+#            k-medoids, DEC math, Algorithm 2) stay compilable
 #            and panic-free without paying for a full measurement run
 #   e2e    — the end-to-end benchmark's tiny-scale self-test; e2ebench/
 #            is its own package outside the workspace, so this is what
@@ -32,6 +32,10 @@
 #            the newest checkpoint deleted, whose model.json must be
 #            byte-identical to the uninterrupted run's, and a resume from
 #            the plain save, which must fail with `error:`
+#   ablations — the `ablations` harness bin on 60 trajectories, run inside
+#            the temp dir so its experiments_out/ lands there; its JSON
+#            must hold the 4 rows it writes (Eq. 8 weights vs plain NLL,
+#            k-means++ vs random init)
 #   serial ≡ parallel — train and embed once with RAYON_NUM_THREADS=1
 #            and once on the default pool; the two model.json files and
 #            the two embed outputs must be byte-identical. Twice: on a
@@ -107,6 +111,12 @@ rc=0
     --resume "$smoke_dir/model.json" --quiet 2>"$smoke_dir/resume_err.txt" || rc=$?
 if [ "$rc" -ne 1 ] || ! grep -q '^error:' "$smoke_dir/resume_err.txt"; then
     echo "tier1: resuming from a plain model save must exit 1 with an error (got $rc)" >&2
+    exit 1
+fi
+root="$PWD"
+(cd "$smoke_dir" && "$root/target/release/ablations" --n 60 >/dev/null)
+if ! jq -e 'length == 4' "$smoke_dir/experiments_out/ablations.json" >/dev/null; then
+    echo "tier1: ablations.json does not hold the 4 ablation rows" >&2
     exit 1
 fi
 
