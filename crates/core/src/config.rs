@@ -114,13 +114,6 @@ pub struct E2dtcConfig {
     /// Keeping at least 2 lets `E2dtc::resume` fall back to the previous
     /// snapshot when the newest file is torn by a crash mid-write.
     pub checkpoint_keep_last: usize,
-    /// Consecutive non-finite (NaN/Inf) batches tolerated before training
-    /// rolls back to the start-of-epoch parameter snapshot with a
-    /// learning-rate backoff; `0` disables rollback (poisoned updates are
-    /// still skipped).
-    pub guard_patience: usize,
-    /// Multiplier applied to the learning rate on each guard rollback.
-    pub guard_lr_backoff: f32,
     /// Master RNG seed.
     pub seed: u64,
 }
@@ -156,8 +149,6 @@ impl E2dtcConfig {
             checkpoint_every: 0,
             checkpoint_dir: None,
             checkpoint_keep_last: 2,
-            guard_patience: 3,
-            guard_lr_backoff: 0.5,
             seed: 0,
         }
     }
@@ -191,8 +182,6 @@ impl E2dtcConfig {
             checkpoint_every: 0,
             checkpoint_dir: None,
             checkpoint_keep_last: 2,
-            guard_patience: 3,
-            guard_lr_backoff: 0.5,
             seed: 0,
         }
     }

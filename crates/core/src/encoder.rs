@@ -4,16 +4,17 @@
 //! trained, it can be efficiently adopted for trajectory clustering
 //! requests": embed new trajectories with the frozen seq2seq encoder and
 //! assign them to the learned centroids. [`FrozenEncoder`] packages
-//! exactly that — immutable weights, grid, vocabulary, and centroids,
-//! with no tape, no optimizer state, and no RNG — so it is `Send + Sync`
-//! and can be shared across threads behind an `Arc` (see the
-//! `traj-query` crate for the batched fan-out engine).
+//! exactly that — the encoder half ([`Encoder`]: token table and encoder
+//! GRU), grid, vocabulary, and centroids, with no decoder, projection,
+//! tape, optimizer state, or RNG — so it is `Send + Sync` and can be
+//! shared across threads behind an `Arc` (see the `traj-query` crate for
+//! the batched fan-out engine).
 //!
 //! The forward path is the tape-free eval forward from
 //! [`traj_nn::infer`], and it is the only forward that runs without a
 //! backward: serving, `E2dtc::embed_dataset`, and `fit`'s own clustering
 //! passes all go through `embed_tokenized`. It runs the same GRU cell
-//! kernel as the tape's [`Seq2Seq::encode`], so the two are bit-identical
+//! kernel as the tape's [`Encoder::encode`], so the two are bit-identical
 //! by construction (and still compared by this module's tests) — the
 //! contract Algorithm 1 rests on, since Q/P come from these embeddings
 //! while the DEC loss gradients come from the tape's — while skipping all
@@ -23,20 +24,22 @@
 use crate::batcher::length_buckets;
 use crate::config::E2dtcConfig;
 use crate::dec::hard_assignment;
-use crate::seq2seq::{live_rows, Seq2Seq};
+use crate::seq2seq::{live_rows, Encoder};
 use crate::vocab::{Vocab, UNK};
 use traj_data::{Dataset, Grid, Trajectory};
 use traj_nn::infer::Scratch;
 use traj_nn::{student_t_assignment, ParamStore, Tensor};
 
-/// Immutable trained encoder + centroids, safe to share across threads.
+/// Immutable trained encoder half + centroids, safe to share across
+/// threads.
 #[derive(Clone, Debug)]
 pub struct FrozenEncoder {
     cfg: E2dtcConfig,
     grid: Grid,
     vocab: Vocab,
+    /// The encoder half's tensors alone.
     store: ParamStore,
-    model: Seq2Seq,
+    encoder: Encoder,
     centroids: Option<Tensor>,
 }
 
@@ -54,10 +57,10 @@ impl FrozenEncoder {
         grid: Grid,
         vocab: Vocab,
         store: ParamStore,
-        model: Seq2Seq,
+        encoder: Encoder,
         centroids: Option<Tensor>,
     ) -> Self {
-        Self { cfg, grid, vocab, store, model, centroids }
+        Self { cfg, grid, vocab, store, encoder, centroids }
     }
 
     /// The configuration the encoder was trained under.
@@ -77,7 +80,7 @@ impl FrozenEncoder {
 
     /// Trajectory-representation dimensionality.
     pub fn repr_dim(&self) -> usize {
-        self.model.hidden_dim()
+        self.encoder.hidden_dim()
     }
 
     /// The learned `(k, hidden)` centroids, when self-training (or
@@ -97,14 +100,14 @@ impl FrozenEncoder {
     /// `scratch`; hand it back with [`Scratch::put`] when done to keep
     /// the pool at its allocation fixed point.
     pub fn encode_sequences(&self, seqs: &[&[usize]], scratch: &mut Scratch) -> Tensor {
-        encode_batch(&self.model, &self.store, seqs, scratch)
+        encode_batch(&self.encoder, &self.store, seqs, scratch)
     }
 
     /// Embeds a batch of trajectories (tokenize + length-bucket +
     /// encode), returning an `(n, hidden)` tensor aligned with the input.
     pub fn embed_batch(&self, trajs: &[Trajectory], scratch: &mut Scratch) -> Tensor {
         let sequences: Vec<Vec<usize>> = trajs.iter().map(|t| self.tokenize(t)).collect();
-        embed_tokenized(&self.model, &self.store, &sequences, self.cfg.batch_size, scratch)
+        embed_tokenized(&self.encoder, &self.store, &sequences, self.cfg.batch_size, scratch)
     }
 
     /// Embeds every trajectory of a dataset — the `&self` twin of the
@@ -159,7 +162,7 @@ impl FrozenEncoder {
     }
 }
 
-/// Tape-free twin of [`Seq2Seq::encode`]: runs the packed GRU
+/// Tape-free twin of [`Encoder::encode`]: runs the packed GRU
 /// recurrence (live rows only) over a dense token batch and returns the
 /// top-layer final hidden states `v_T` as a `(batch, hidden)` scratch
 /// tensor.
@@ -167,7 +170,7 @@ impl FrozenEncoder {
 /// # Panics
 /// Panics on an empty batch or an empty sequence.
 pub(crate) fn encode_batch(
-    model: &Seq2Seq,
+    encoder: &Encoder,
     store: &ParamStore,
     seqs: &[&[usize]],
     scratch: &mut Scratch,
@@ -177,15 +180,15 @@ pub(crate) fn encode_batch(
     let batch = seqs.len();
     let max_len = seqs.iter().map(|s| s.len()).max().expect("non-empty batch");
 
-    let mut state = model.encoder.eval_zero_state(batch, scratch);
+    let mut state = encoder.gru.eval_zero_state(batch, scratch);
     let mut ids: Vec<usize> = Vec::with_capacity(batch);
     let mut live_buf = Vec::with_capacity(batch);
     for t in 0..max_len {
         ids.clear();
         ids.extend(seqs.iter().map(|s| s.get(t).copied().unwrap_or(UNK)));
-        let x = model.embedding.eval(store, &ids, scratch);
+        let x = encoder.embedding.eval(store, &ids, scratch);
         let live = live_rows(seqs, t, &mut live_buf);
-        model.encoder.eval_step(store, &x, &mut state, live, scratch);
+        encoder.gru.eval_step(store, &x, &mut state, live, scratch);
         scratch.put(x);
     }
     let repr = state.pop().expect("at least one layer");
@@ -199,19 +202,19 @@ pub(crate) fn encode_batch(
 /// scattering results back to input order. One implementation serves the
 /// `E2dtc` facade, [`FrozenEncoder::embed_batch`], and `traj-query`.
 pub(crate) fn embed_tokenized(
-    model: &Seq2Seq,
+    encoder: &Encoder,
     store: &ParamStore,
     sequences: &[Vec<usize>],
     batch_size: usize,
     scratch: &mut Scratch,
 ) -> Tensor {
     let n = sequences.len();
-    let d = model.hidden_dim();
+    let d = encoder.hidden_dim();
     let mut out = Tensor::zeros(n, d);
     let lens: Vec<usize> = sequences.iter().map(Vec::len).collect();
     for batch in length_buckets(&lens, batch_size) {
         let refs: Vec<&[usize]> = batch.iter().map(|&i| sequences[i].as_slice()).collect();
-        let repr = encode_batch(model, store, &refs, scratch);
+        let repr = encode_batch(encoder, store, &refs, scratch);
         for (row, &i) in batch.iter().enumerate() {
             out.row_mut(i).copy_from_slice(repr.row(row));
         }
@@ -252,14 +255,14 @@ mod tests {
             "fixture must contain ragged batches so packed steps run"
         );
         let mut scratch = Scratch::new();
-        let eval =
-            embed_tokenized(&model.model, &model.store, &sequences, batch_size, &mut scratch);
+        let encoder = &model.model.encoder;
+        let eval = embed_tokenized(encoder, &model.store, &sequences, batch_size, &mut scratch);
 
         let mut tape = Tape::new();
         for batch in &buckets {
             tape.clear();
             let refs: Vec<&[usize]> = batch.iter().map(|&i| sequences[i].as_slice()).collect();
-            let state = model.model.encode(&mut tape, &model.store, &refs);
+            let state = encoder.encode(&mut tape, &model.store, &refs);
             let repr = tape.value(*state.last().expect("at least one layer"));
             for (row, &i) in batch.iter().enumerate() {
                 assert_eq!(bits(repr.row(row)), bits(eval.row(i)), "trajectory {i}");

@@ -7,12 +7,13 @@
 //! - [`crate::trainer`] — pre-training, self-training, guards, rollback,
 //!   periodic checkpoints (everything that needs `&mut self`);
 //! - [`crate::encoder`] — the tape-free inference forward and the
-//!   [`FrozenEncoder`] produced by [`E2dtc::freeze`];
+//!   [`FrozenEncoder`] produced by [`E2dtc::freeze`], which copies only
+//!   the encoder half (token table and encoder GRU) of the seq2seq store;
 //! - [`crate::batcher`] — length-bucketed batching shared by both;
-//! - [`crate::persist`] — the on-disk format: [`E2dtc::save`] for
-//!   serving, [`E2dtc::save_checkpoint`] / [`E2dtc::resume`] for
-//!   training, and [`FrozenEncoder::from_checkpoint`] to load a model
-//!   for inference.
+//! - [`crate::persist`] — the on-disk format: [`E2dtc::save`] writes the
+//!   encoder half and centroids for serving, [`E2dtc::save_checkpoint`] /
+//!   [`E2dtc::resume`] the whole model for training, and
+//!   [`FrozenEncoder::from_checkpoint`] loads either for inference.
 //!
 //! Inference entry points ([`E2dtc::embed_dataset`],
 //! [`E2dtc::soft_assignment`], [`E2dtc::assign`], [`E2dtc::freeze`]) take
@@ -25,7 +26,7 @@ use crate::cell_embedding::train_cell_embeddings;
 use crate::config::E2dtcConfig;
 use crate::dec::hard_assignment;
 use crate::encoder::FrozenEncoder;
-use crate::seq2seq::Seq2Seq;
+use crate::seq2seq::{Encoder, Seq2Seq};
 use crate::spatial_loss::WeightTable;
 use crate::vocab::Vocab;
 use rand::rngs::StdRng;
@@ -49,7 +50,8 @@ pub struct E2dtc {
     pub(crate) centroids: Option<ParamId>,
     pub(crate) opt: Adam,
     pub(crate) rng: StdRng,
-    /// Tokenized original trajectories, aligned with the dataset.
+    /// Tokenized original trajectories of the dataset being trained,
+    /// set at the entry of `fit`/`pretrain`.
     pub(crate) sequences: Vec<Vec<usize>>,
     /// Training cursor restored by [`E2dtc::resume`], consumed by the
     /// next `fit` call.
@@ -107,7 +109,7 @@ impl E2dtc {
             centroids: None,
             opt,
             rng,
-            sequences,
+            sequences: Vec::new(),
             pending: None,
             recorder: traj_obs::global(),
             #[cfg(feature = "fault-injection")]
@@ -130,9 +132,15 @@ impl E2dtc {
         &self.grid
     }
 
+    /// The encoder half's tensors: [`Seq2Seq::new`] registers it first,
+    /// so they are the store's prefix.
+    pub(crate) fn encoder_ids(&self) -> impl Iterator<Item = ParamId> {
+        self.store.ids().take(Encoder::param_count(self.cfg.layers))
+    }
+
     /// Trajectory-representation dimensionality.
     pub fn repr_dim(&self) -> usize {
-        self.model.hidden_dim()
+        self.model.encoder.hidden_dim()
     }
 
     /// Number of trainable scalars.
@@ -164,15 +172,14 @@ impl E2dtc {
     /// aligned with the dataset. Runs the tape-free forward — values are
     /// bit-identical to the training path's.
     pub fn embed_dataset(&self, dataset: &Dataset) -> Tensor {
-        let sequences = self.dataset_sequences(dataset);
+        self.embed_sequences(&self.dataset_sequences(dataset))
+    }
+
+    /// The eval forward over already-tokenized sequences.
+    pub(crate) fn embed_sequences(&self, sequences: &[Vec<usize>]) -> Tensor {
+        let (encoder, batch_size) = (&self.model.encoder, self.cfg.batch_size);
         let mut scratch = Scratch::new();
-        crate::encoder::embed_tokenized(
-            &self.model,
-            &self.store,
-            &sequences,
-            self.cfg.batch_size,
-            &mut scratch,
-        )
+        crate::encoder::embed_tokenized(encoder, &self.store, sequences, batch_size, &mut scratch)
     }
 
     /// Soft cluster assignment `Q` for a dataset under the trained model.
@@ -193,16 +200,21 @@ impl E2dtc {
     }
 
     /// Extracts an immutable, `Send + Sync` inference engine: the trained
-    /// encoder, grid, vocabulary, and (when present) centroids — no
-    /// optimizer state, no tape, no RNG. Share it across threads behind
-    /// an `Arc` (see the `traj-query` crate).
+    /// encoder half, grid, vocabulary, and (when present) centroids — no
+    /// decoder, optimizer state, tape or RNG. Share it across threads
+    /// behind an `Arc` (see the `traj-query` crate).
     pub fn freeze(&self) -> FrozenEncoder {
+        // The encoder half's handles index a copy of the store's prefix.
+        let mut store = ParamStore::new();
+        for id in self.encoder_ids() {
+            store.add(self.store.name(id), self.store.get(id).clone());
+        }
         FrozenEncoder::from_parts(
             self.cfg.clone(),
             self.grid.clone(),
             self.vocab.clone(),
-            self.store.clone(),
-            self.model.clone(),
+            store,
+            self.model.encoder.clone(),
             self.centroids.map(|id| self.store.get(id).clone()),
         )
     }

@@ -3,17 +3,19 @@
 //!
 //! This is the only module that knows the on-disk format, and a file
 //! holds only what its reader uses. Every file carries configuration,
-//! grid, vocabulary, spatial weight table and parameter values — never
-//! gradients. A training checkpoint ([`E2dtc::save_checkpoint`]) adds the
-//! Adam moments and the [`TrainingState`] cursor; a plain save
-//! ([`E2dtc::save`]) writes both as `null`. [`FrozenEncoder::from_checkpoint`]
-//! loads either for inference; [`E2dtc::resume`] continues training
-//! from a checkpoint.
+//! grid, vocabulary and parameter values — never gradients. A plain save
+//! ([`E2dtc::save`]) is what serving reads: the encoder half (token table
+//! and encoder GRU) and the centroids, with `weights`, `opt` and
+//! `training` written as `null`. A training checkpoint
+//! ([`E2dtc::save_checkpoint`]) adds what [`E2dtc::resume`] needs: the
+//! decoder half and projection, the Eq. 8 weight table, the Adam moments
+//! and the [`TrainingState`] cursor. [`FrozenEncoder::from_checkpoint`]
+//! serves either kind of file.
 //!
-//! ## Checkpoint format v4 (DESIGN.md §10)
+//! ## Checkpoint format v5 (DESIGN.md §10)
 //!
 //! ```text
-//! E2DTC-CKPT v4 fnv1a64=<16 hex digits> len=<payload bytes>\n
+//! E2DTC-CKPT v5 fnv1a64=<16 hex digits> len=<payload bytes>\n
 //! { ...SavedModel JSON... }
 //! ```
 //!
@@ -21,19 +23,22 @@
 //! and bit rot before JSON parsing runs. Writes are atomic: payload to a
 //! `.tmp` sibling, `fsync`, then `rename` over the final path.
 //!
-//! v3 files still load (their `store.grads` is ignored, as are the Adam
-//! moments of a v3 plain save when serving); a file without the header
-//! or with an older version is a typed error. Loading then validates
-//! the parameter count, each tensor's value count against its shape,
-//! each parameter's registration name and shape against a freshly-built
-//! architecture, and the finiteness of every weight. That relies on [`crate::seq2seq::Seq2Seq::new`] registering
-//! the same tensors in the same order for a given architecture (a unit
-//! test pins this invariant).
+//! One rule reads every file: the store holds the encoder half, then the
+//! decoder half and projection if the file has them, then the centroids.
+//! v4 files follow it too (a v4 plain save kept the decoder half, which
+//! serving skips), so they load with no version branch; v3 and older, or
+//! a file without the header, is a typed error. Before anything is built,
+//! loading checks the tensor count against `config.layers`, each
+//! tensor's value count against its shape, each tensor's name and shape
+//! against the ones the saved configuration implies
+//! (`seq2seq::param_shapes`, pinned by a unit test to what
+//! [`crate::seq2seq::Seq2Seq::new`] registers), and the finiteness of
+//! every weight. A load therefore allocates only what the file holds.
 
 use crate::config::E2dtcConfig;
 use crate::encoder::FrozenEncoder;
 use crate::model::{E2dtc, TrainingState};
-use crate::seq2seq::Seq2Seq;
+use crate::seq2seq::{param_shapes, Encoder, Seq2Seq};
 use crate::spatial_loss::WeightTable;
 use crate::trainer::rng_state_from;
 use crate::vocab::Vocab;
@@ -46,7 +51,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use traj_data::Grid;
 use traj_nn::optim::Adam;
-use traj_nn::{ParamId, ParamStore, Tensor};
+use traj_nn::{ParamStore, Tensor};
 
 /// Magic prefix of every checkpoint file.
 const MAGIC: &str = "E2DTC-CKPT";
@@ -68,7 +73,7 @@ pub enum PersistError {
         /// Checksum of the payload actually on disk.
         actual: u64,
     },
-    /// The file's format version is not one this build reads (v3 or v4).
+    /// The file's format version is not one this build reads (v4 or v5).
     UnsupportedVersion(u32),
     /// The saved parameter count does not match the architecture the
     /// saved configuration describes.
@@ -92,8 +97,8 @@ pub enum PersistError {
     NonFiniteParam(String),
     /// The checkpoint's serialized RNG state has the wrong word count.
     BadRngState(usize),
-    /// [`E2dtc::resume`] needs a training cursor and optimizer state, but
-    /// the file is a plain model save.
+    /// [`E2dtc::resume`] needs the decoder half, weight table, optimizer
+    /// state and training cursor, but the file is a plain model save.
     NotATrainingCheckpoint,
     /// A checkpoint directory holds no usable checkpoint.
     NoCheckpointFound(PathBuf),
@@ -157,12 +162,13 @@ impl From<io::Error> for PersistError {
 /// On-disk representation of a trained model / training checkpoint.
 #[derive(Serialize, Deserialize)]
 struct SavedModel {
-    /// Mirrors the header's version, which is what loading checks.
+    /// Mirrors the header's version; loading requires the two to agree.
     format_version: u32,
     config: E2dtcConfig,
     grid: Grid,
     vocab: Vocab,
-    weights: WeightTable,
+    /// The Eq. 8 weight table; `None` for plain model saves.
+    weights: Option<WeightTable>,
     store: SavedParams,
     /// Whether the store's final parameter is the centroid matrix.
     has_centroids: bool,
@@ -172,20 +178,19 @@ struct SavedModel {
     training: Option<TrainingState>,
 }
 
-/// Parameter values and registration names, in registration order. A
-/// v3 `store` object also carries a `grads` array, which deserialization
-/// ignores.
+/// Parameter values and registration names, in registration order: the
+/// encoder half, the decoder half and projection (training checkpoints
+/// only), then the centroids.
 #[derive(Serialize, Deserialize)]
 struct SavedParams {
     params: Vec<Tensor>,
     names: Vec<String>,
 }
 
-/// Version 4 drops gradient buffers from every file and optimizer state
-/// from plain saves. Version 3 added the checksummed header, the
-/// optional [`TrainingState`] cursor, and load-time validation; it is
-/// the oldest version still read.
-const FORMAT_VERSION: u32 = 4;
+/// Version 5 keeps only the encoder half and centroids in plain saves.
+/// Version 4, which dropped gradient buffers from every file and
+/// optimizer state from plain saves, is the oldest version still read.
+const FORMAT_VERSION: u32 = 5;
 
 /// FNV-1a 64-bit hash — tiny, dependency-free, and plenty to catch torn
 /// writes and bit rot (this is integrity checking, not cryptography).
@@ -243,10 +248,10 @@ fn encode(saved: &SavedModel) -> Result<Vec<u8>, PersistError> {
     Ok(out)
 }
 
-/// Validates the header + checksum of raw file bytes and returns the JSON
-/// payload. A file without the [`MAGIC`] header is rejected before any
-/// JSON parsing.
-fn verify_and_strip_header(bytes: &[u8]) -> Result<&[u8], PersistError> {
+/// Validates the header + checksum of raw file bytes and returns the
+/// format version and the JSON payload. A file without the [`MAGIC`]
+/// header is rejected before any JSON parsing.
+fn verify_and_strip_header(bytes: &[u8]) -> Result<(u32, &[u8]), PersistError> {
     if !bytes.starts_with(MAGIC.as_bytes()) {
         return Err(PersistError::BadHeader(format!("missing `{MAGIC}` header")));
     }
@@ -265,7 +270,7 @@ fn verify_and_strip_header(bytes: &[u8]) -> Result<&[u8], PersistError> {
         .and_then(|v| v.strip_prefix('v'))
         .and_then(|v| v.parse::<u32>().ok())
         .ok_or_else(|| PersistError::BadHeader(format!("unparseable version in `{header}`")))?;
-    if !(3..=FORMAT_VERSION).contains(&version) {
+    if !(4..=FORMAT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion(version));
     }
     // Exactly the 16 lowercase digits the writer emits: a bit flip that
@@ -291,7 +296,7 @@ fn verify_and_strip_header(bytes: &[u8]) -> Result<&[u8], PersistError> {
     if actual != checksum {
         return Err(PersistError::ChecksumMismatch { expected: checksum, actual });
     }
-    Ok(payload)
+    Ok((version, payload))
 }
 
 /// Atomic durable write: full contents to a `.tmp` sibling, `fsync`, then
@@ -326,10 +331,12 @@ struct LoadedParts {
     cfg: E2dtcConfig,
     grid: Grid,
     vocab: Vocab,
-    weights: WeightTable,
-    store: ParamStore,
-    model: Seq2Seq,
-    centroids: Option<ParamId>,
+    weights: Option<WeightTable>,
+    /// The encoder half's tensors, then the decoder half's and the
+    /// projection's when `decoder` is set, in registration order.
+    params: Vec<Tensor>,
+    decoder: bool,
+    centroids: Option<Tensor>,
     opt: Option<Adam>,
     training: Option<TrainingState>,
 }
@@ -342,17 +349,39 @@ fn load_parts(path: &Path) -> Result<LoadedParts, PersistError> {
 
 /// [`load_parts`] on the file's bytes.
 fn parse_parts(bytes: &[u8]) -> Result<LoadedParts, PersistError> {
-    let payload = verify_and_strip_header(bytes)?;
+    let (version, payload) = verify_and_strip_header(bytes)?;
     let payload = std::str::from_utf8(payload)
         .map_err(|_| PersistError::Json("payload is not UTF-8".into()))?;
     let saved: SavedModel =
         serde_json::from_str(payload).map_err(|e| PersistError::Json(e.to_string()))?;
+    // The checksum does not cover the header, so a flipped version digit
+    // must disagree with the payload's copy.
+    if saved.format_version != version {
+        let payload = saved.format_version;
+        return Err(PersistError::BadHeader(format!("header says v{version}, payload v{payload}")));
+    }
+    let SavedModel { config: cfg, store: SavedParams { mut params, names }, .. } = saved;
 
-    // The tensor count is checked before `config.layers` builds anything.
-    let SavedParams { params, names } = saved.store;
-    let expected = Seq2Seq::param_count(saved.config.layers) + usize::from(saved.has_centroids);
-    if params.len() != expected || names.len() != expected {
-        return Err(PersistError::ParamCountMismatch { saved: params.len(), expected });
+    // The tensor count is checked before `config.layers` sizes anything:
+    // the encoder half, optionally the decoder half and projection, then
+    // optionally the centroids.
+    if cfg.layers == 0 {
+        return Err(PersistError::Json("config.layers is 0".into()));
+    }
+    let centroids = usize::from(saved.has_centroids);
+    let encoder_only = Encoder::param_count(cfg.layers).saturating_add(centroids);
+    let full = Seq2Seq::param_count(cfg.layers).saturating_add(centroids);
+    let decoder = match params.len() {
+        n if n == encoder_only => false,
+        n if n == full => true,
+        n => {
+            let expected = if n < full { encoder_only } else { full };
+            return Err(PersistError::ParamCountMismatch { saved: n, expected });
+        }
+    };
+    if names.len() != params.len() {
+        let (names, tensors) = (names.len(), params.len());
+        return Err(PersistError::Json(format!("store has {names} names for {tensors} tensors")));
     }
     if let Some((name, t)) =
         names.iter().zip(&params).find(|(_, t)| t.rows().checked_mul(t.cols()) != Some(t.len()))
@@ -365,82 +394,92 @@ fn parse_parts(bytes: &[u8]) -> Result<LoadedParts, PersistError> {
         )));
     }
 
-    // Rebuild the architecture in a fresh store: parameter ids are
-    // assigned in deterministic registration order, so the layer handles
-    // line up with the saved tensors — and the fresh names/shapes are the
-    // authority the file is validated against. Each saved tensor then
-    // replaces its freshly-initialized slot; gradient buffers come from
-    // construction.
-    let mut store = ParamStore::new();
-    let mut rng = StdRng::seed_from_u64(saved.config.seed);
-    let placeholder = Tensor::zeros(saved.vocab.size(), saved.config.embed_dim);
-    let model =
-        Seq2Seq::new(&mut store, placeholder, saved.config.hidden_dim, saved.config.layers, &mut rng);
-    let mut saved_params = names.into_iter().zip(params);
-    for (id, (name, tensor)) in store.ids().zip(&mut saved_params) {
-        let want = store.get(id).shape();
-        if name != store.name(id) || tensor.shape() != want {
-            return Err(PersistError::ShapeMismatch {
-                name: store.name(id).to_string(),
-                saved: tensor.shape(),
-                expected: want,
-            });
-        }
-        *store.get_mut(id) = tensor;
+    // Every saved name and shape must be the one the configuration
+    // implies, so nothing below allocates more than the file holds.
+    let mut expected =
+        param_shapes(saved.vocab.size(), cfg.embed_dim, cfg.hidden_dim, cfg.layers, decoder);
+    if saved.has_centroids {
+        expected.push(("centroids".into(), (cfg.k_clusters, cfg.hidden_dim)));
     }
-    let centroids = match saved_params.next() {
-        Some((name, tensor)) => {
-            let want = (saved.config.k_clusters, saved.config.hidden_dim);
-            if tensor.shape() != want {
-                let saved = tensor.shape();
-                return Err(PersistError::ShapeMismatch { name, saved, expected: want });
-            }
-            Some(store.add(name, tensor))
+    for ((name, want), (saved_name, t)) in expected.into_iter().zip(names.iter().zip(&params)) {
+        if *saved_name != name || t.shape() != want {
+            return Err(PersistError::ShapeMismatch { name, saved: t.shape(), expected: want });
         }
-        None => None,
-    };
-    if let Some(name) = store.first_non_finite_param() {
-        return Err(PersistError::NonFiniteParam(name.to_string()));
+    }
+    if let Some((name, _)) = names.iter().zip(&params).find(|(_, t)| t.has_non_finite()) {
+        return Err(PersistError::NonFiniteParam(name.clone()));
     }
 
+    let centroids = if saved.has_centroids { params.pop() } else { None };
     Ok(LoadedParts {
-        cfg: saved.config,
+        cfg,
         grid: saved.grid,
         vocab: saved.vocab,
         weights: saved.weights,
-        store,
-        model,
+        params,
+        decoder,
         centroids,
         opt: saved.opt,
         training: saved.training,
     })
 }
 
+/// Builds an architecture into a fresh store from the saved token table,
+/// then swaps each later slot's seeded initial value for the saved
+/// tensor. `build` registers the slots in file order, whose names and
+/// shapes `parse_parts` checked.
+fn install<T>(
+    params: Vec<Tensor>,
+    seed: u64,
+    build: impl FnOnce(&mut ParamStore, Tensor, &mut StdRng) -> T,
+) -> (ParamStore, T) {
+    let mut params = params.into_iter();
+    let mut store = ParamStore::new();
+    let table = params.next().expect("the token table");
+    let arch = build(&mut store, table, &mut StdRng::seed_from_u64(seed));
+    for (id, tensor) in store.ids().skip(1).zip(params) {
+        *store.get_mut(id) = tensor;
+    }
+    (store, arch)
+}
+
 impl FrozenEncoder {
     /// Loads an inference-only encoder from a model save or a training
-    /// checkpoint (format v3 or v4). Optimizer state, the spatial weight
-    /// table, and any training cursor in the file are dropped — nothing a
-    /// query path needs is kept mutable, so the result is `Send + Sync`
-    /// without further ceremony.
+    /// checkpoint (format v4 or v5). Only the encoder half and the
+    /// centroids are kept: a decoder half, weight table, optimizer state
+    /// or training cursor in the file is dropped, and nothing a query
+    /// path needs is mutable, so the result is `Send + Sync` without
+    /// further ceremony.
     pub fn from_checkpoint(path: impl AsRef<Path>) -> Result<FrozenEncoder, PersistError> {
         Ok(load_parts(path.as_ref())?.into_frozen())
     }
 }
 
 impl LoadedParts {
-    fn into_frozen(self) -> FrozenEncoder {
-        let centroids = self.centroids.map(|id| self.store.get(id).clone());
-        FrozenEncoder::from_parts(self.cfg, self.grid, self.vocab, self.store, self.model, centroids)
+    fn into_frozen(mut self) -> FrozenEncoder {
+        let (hidden, layers) = (self.cfg.hidden_dim, self.cfg.layers);
+        self.params.truncate(Encoder::param_count(layers));
+        let (store, encoder) = install(self.params, self.cfg.seed, |store, table, rng| {
+            Encoder::new(store, table, hidden, layers, rng)
+        });
+        FrozenEncoder::from_parts(self.cfg, self.grid, self.vocab, store, encoder, self.centroids)
     }
 
     /// The trainable model with its cursor, for [`E2dtc::resume`].
     fn into_trainer(self) -> Result<E2dtc, PersistError> {
-        let (Some(st), Some(opt)) = (self.training, self.opt) else {
+        let (Some(st), Some(opt), Some(weights), true) =
+            (self.training, self.opt, self.weights, self.decoder)
+        else {
             return Err(PersistError::NotATrainingCheckpoint);
         };
         if st.rng.len() != 4 {
             return Err(PersistError::BadRngState(st.rng.len()));
         }
+        let (hidden, layers) = (self.cfg.hidden_dim, self.cfg.layers);
+        let (mut store, model) = install(self.params, self.cfg.seed, |store, table, rng| {
+            Seq2Seq::new(store, table, hidden, layers, rng)
+        });
+        let centroids = self.centroids.map(|t| store.add("centroids", t));
         Ok(E2dtc {
             rng: StdRng::restore(rng_state_from(&st.rng)),
             pending: Some(st),
@@ -448,10 +487,10 @@ impl LoadedParts {
             cfg: self.cfg,
             grid: self.grid,
             vocab: self.vocab,
-            weights: self.weights,
-            store: self.store,
-            model: self.model,
-            centroids: self.centroids,
+            weights,
+            store,
+            model,
+            centroids,
             opt,
             sequences: Vec::new(),
             #[cfg(feature = "fault-injection")]
@@ -461,18 +500,20 @@ impl LoadedParts {
 }
 
 impl E2dtc {
-    /// Serializes the trained model for serving: parameter values only,
-    /// no optimizer state and no training cursor. Checksummed header +
-    /// JSON payload, written atomically.
+    /// Serializes the trained model for serving: the encoder half and
+    /// the centroids — no decoder half, weight table, optimizer state or
+    /// training cursor. Checksummed header + JSON payload, written
+    /// atomically.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
         let saved = self.to_saved(None);
         write_atomic(path.as_ref(), &encode(&saved)?)?;
         Ok(())
     }
 
-    /// Writes a training checkpoint: the model plus the Adam moments and
-    /// the mid-training cursor `st`, so [`E2dtc::resume`] can continue the
-    /// run. Atomic and checksummed like [`E2dtc::save`].
+    /// Writes a training checkpoint: the whole model and weight table plus
+    /// the Adam moments and the mid-training cursor `st`, so
+    /// [`E2dtc::resume`] can continue the run. Atomic and checksummed like
+    /// [`E2dtc::save`].
     pub fn save_checkpoint(
         &mut self,
         path: impl AsRef<Path>,
@@ -508,21 +549,28 @@ impl E2dtc {
         Ok(())
     }
 
-    /// The on-disk form; optimizer state rides along only with a
-    /// training cursor.
+    /// The on-disk form. Without a training cursor it is what serving
+    /// reads: the encoder half and the centroids. With one it is the
+    /// whole store, the weight table and the optimizer state.
     fn to_saved(&self, training: Option<TrainingState>) -> SavedModel {
+        let full = training.is_some();
+        let ids: Vec<_> = if full {
+            self.store.ids().collect()
+        } else {
+            self.encoder_ids().chain(self.centroids).collect()
+        };
         SavedModel {
             format_version: FORMAT_VERSION,
             config: self.cfg.clone(),
             grid: self.grid.clone(),
             vocab: self.vocab.clone(),
-            weights: self.weights.clone(),
+            weights: full.then(|| self.weights.clone()),
             store: SavedParams {
-                params: self.store.ids().map(|id| self.store.get(id).clone()).collect(),
-                names: self.store.ids().map(|id| self.store.name(id).to_string()).collect(),
+                params: ids.iter().map(|&id| self.store.get(id).clone()).collect(),
+                names: ids.iter().map(|&id| self.store.name(id).to_string()).collect(),
             },
             has_centroids: self.centroids.is_some(),
-            opt: training.is_some().then(|| self.opt.clone()),
+            opt: full.then(|| self.opt.clone()),
             training,
         }
     }
@@ -608,7 +656,7 @@ mod tests {
     /// The JSON payload of a checkpoint file, as a raw value tree.
     fn payload_value(path: &Path) -> Value {
         let bytes = std::fs::read(path).expect("read");
-        let payload = verify_and_strip_header(&bytes).expect("valid header");
+        let (_, payload) = verify_and_strip_header(&bytes).expect("valid header");
         serde_json::parse_value_str(std::str::from_utf8(payload).expect("utf8")).expect("json")
     }
 
@@ -624,28 +672,40 @@ mod tests {
         std::fs::write(path, frame(version, payload.as_bytes())).expect("write");
     }
 
-    /// Rewrites a v4 file in the layout v3 writers produced: zero
-    /// `store.grads`, Adam moments even in plain saves (`opt` fills a
-    /// `null`), `format_version: 3`, and a `v3` header.
-    fn rewrite_as_v3(path: &Path, opt: &Adam) {
+    /// Rewrites the payload of the file at `path` with `edit`, under a
+    /// header claiming format `version`.
+    fn edit_payload(path: &Path, version: u32, edit: impl FnOnce(&mut Vec<(String, Value)>)) {
         let Value::Object(mut fields) = payload_value(path) else { panic!("payload is an object") };
-        for (key, value) in &mut fields {
-            match key.as_str() {
-                "format_version" => *value = Value::UInt(3),
-                "opt" if *value == Value::Null => *value = opt.to_value(),
-                "store" => {
-                    let Value::Object(store) = value else { panic!("store is an object") };
-                    let params: Vec<Tensor> =
-                        Deserialize::from_value(&store[0].1).expect("store.params");
-                    let grads: Vec<Tensor> =
-                        params.iter().map(|t| Tensor::zeros(t.rows(), t.cols())).collect();
-                    store.insert(1, ("grads".to_string(), grads.to_value()));
+        edit(&mut fields);
+        write_framed(path, version, &serde_json::to_string(&Value::Object(fields)).expect("json"));
+    }
+
+    /// Rewrites a v5 training checkpoint in the layout v4 writers
+    /// produced: `format_version: 4`, the guard keys v4 configs carried,
+    /// and a `v4` header. With `plain`, `opt` and `training` become
+    /// `null`, as in a v4 plain save, which kept the decoder half and the
+    /// weight table.
+    fn rewrite_as_v4(path: &Path, plain: bool) {
+        edit_payload(path, 4, |fields| {
+            for (key, value) in fields.iter_mut() {
+                match key.as_str() {
+                    "format_version" => *value = Value::UInt(4),
+                    "opt" | "training" if plain => *value = Value::Null,
+                    "config" => {
+                        let Value::Object(cfg) = value else { panic!("config is an object") };
+                        cfg.push(("guard_patience".into(), Value::UInt(3)));
+                        cfg.push(("guard_lr_backoff".into(), Value::Float(0.5)));
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
-        }
-        let payload = serde_json::to_string(&Value::Object(fields)).expect("json");
-        write_framed(path, 3, &payload);
+        });
+    }
+
+    /// `(names, weights)` of a saved payload.
+    fn names_and_weights(v: &Value) -> (Vec<String>, &Value) {
+        let names = v.get_field("store").and_then(|s| s.get_field("names")).expect("names");
+        (Deserialize::from_value(names).expect("names"), v.get_field("weights").expect("weights"))
     }
 
     #[test]
@@ -662,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn file_has_v4_header_and_checksum() {
+    fn file_has_v5_header_and_checksum() {
         let (model, _) = trained_model();
         let dir = test_dir("header");
         let path = dir.join("model.json");
@@ -670,7 +730,7 @@ mod tests {
         let bytes = std::fs::read(&path).expect("read");
         let header_end = bytes.iter().position(|&b| b == b'\n').expect("newline");
         let header = std::str::from_utf8(&bytes[..header_end]).expect("utf8");
-        assert!(header.starts_with("E2DTC-CKPT v4 fnv1a64="), "header: {header}");
+        assert!(header.starts_with("E2DTC-CKPT v5 fnv1a64="), "header: {header}");
         assert_eq!(fnv1a64(&bytes[header_end + 1..]), {
             let hex = header.split("fnv1a64=").nth(1).unwrap().split(' ').next().unwrap();
             u64::from_str_radix(hex, 16).unwrap()
@@ -689,6 +749,18 @@ mod tests {
         assert!(store.get_field("grads").is_none(), "gradients are never written");
         assert_eq!(v.get_field("opt"), Some(&Value::Null));
         assert_eq!(v.get_field("training"), Some(&Value::Null));
+        // Serving reads the encoder half and the centroids, nothing else.
+        let (names, weights) = names_and_weights(&v);
+        assert_eq!(weights, &Value::Null);
+        let serving = [
+            "token.table",
+            "encoder.layer0.w_x",
+            "encoder.layer0.w_h",
+            "encoder.layer0.b_x",
+            "encoder.layer0.b_h",
+            "centroids",
+        ];
+        assert_eq!(names, serving);
 
         let ckpt = dir.join(checkpoint_file_name(4));
         model.save_checkpoint(&ckpt, &cursor()).expect("save_checkpoint");
@@ -696,38 +768,44 @@ mod tests {
         assert!(v.get_field("store").expect("store").get_field("grads").is_none());
         assert!(matches!(v.get_field("opt"), Some(Value::Object(_))), "checkpoint keeps Adam");
         assert!(matches!(v.get_field("training"), Some(Value::Object(_))));
+        let (names, weights) = names_and_weights(&v);
+        assert!(matches!(weights, Value::Object(_)), "checkpoint keeps the weight table");
+        let all: Vec<&str> = model.store.ids().map(|id| model.store.name(id)).collect();
+        assert_eq!(names, all, "checkpoint keeps the whole store");
     }
 
     #[test]
-    fn v3_plain_save_and_v3_checkpoint_still_load() {
+    fn v4_plain_save_and_v4_checkpoint_still_load() {
         let dataset = tiny_city(40, 3).dataset;
-        let dir = test_dir("v3");
+        let dir = test_dir("v4");
         let mut cfg = E2dtcConfig::tiny(3).with_checkpointing(dir.to_string_lossy(), 1);
         cfg.checkpoint_keep_last = 0;
         cfg.delta = -1.0; // fixed epoch count, so the resumed run is comparable
         let mut model = E2dtc::new(&dataset, cfg);
         let base = model.fit(&dataset);
 
-        // Plain save in the v3 layout: serves the same embeddings.
+        // A v4 plain save held the whole store and the weight table: it
+        // serves the same embeddings, and resuming from it is refused.
         let plain = dir.join("model.json");
-        model.save(&plain).expect("save");
-        rewrite_as_v3(&plain, &model.opt);
-        assert!(payload_value(&plain).get_field("store").unwrap().get_field("grads").is_some());
-        let frozen = FrozenEncoder::from_checkpoint(&plain).expect("v3 plain save loads");
+        std::fs::copy(dir.join(checkpoint_file_name(6)), &plain).expect("copy");
+        rewrite_as_v4(&plain, true);
+        assert!(names_and_weights(&payload_value(&plain)).0.contains(&"proj.bias".to_string()));
+        let frozen = FrozenEncoder::from_checkpoint(&plain).expect("v4 plain save loads");
         assert_eq!(frozen.embed_dataset(&dataset), model.embed_dataset(&dataset));
+        assert_eq!(frozen.centroids(), model.freeze().centroids());
         assert!(matches!(
             expect_err(E2dtc::resume(&plain)),
             PersistError::NotATrainingCheckpoint
         ));
 
-        // Training checkpoint in the v3 layout (mid-self-training):
+        // Training checkpoint in the v4 layout (mid-self-training):
         // resuming reproduces the uninterrupted run.
         let ckpt = dir.join(checkpoint_file_name(5));
-        rewrite_as_v3(&ckpt, &model.opt);
-        let mut resumed = E2dtc::resume(&ckpt).expect("v3 checkpoint resumes");
+        rewrite_as_v4(&ckpt, false);
+        let mut resumed = E2dtc::resume(&ckpt).expect("v4 checkpoint resumes");
         assert_eq!(resumed.pending.as_ref().expect("cursor").phase, Phase::SelfTrain);
         let fit = resumed.fit(&dataset);
-        assert_eq!(fit.assignments, base.assignments, "v3 resume diverged");
+        assert_eq!(fit.assignments, base.assignments, "v4 resume diverged");
         assert_eq!(fit.embeddings, base.embeddings);
     }
 
@@ -746,7 +824,7 @@ mod tests {
             PersistError::BadHeader(msg) => assert!(msg.contains("E2DTC-CKPT"), "msg: {msg}"),
             other => panic!("expected BadHeader, got {other:?}"),
         }
-        for version in [2, 5] {
+        for version in [2, 3, FORMAT_VERSION + 1] {
             let framed = dir.join(format!("v{version}.json"));
             write_framed(&framed, version, &payload);
             match expect_err(FrozenEncoder::from_checkpoint(&framed)) {
@@ -868,7 +946,7 @@ mod tests {
             .save_checkpoint(dir.join(checkpoint_file_name(2)), &cursor())
             .expect("good checkpoint");
         // Newest checkpoint is torn garbage (e.g. non-atomic writer died).
-        std::fs::write(dir.join(checkpoint_file_name(3)), b"E2DTC-CKPT v4 fnv1a64=dead")
+        std::fs::write(dir.join(checkpoint_file_name(3)), b"E2DTC-CKPT v5 fnv1a64=dead")
             .expect("write corrupt");
         let resumed = E2dtc::resume(&dir).expect("resume must fall back");
         assert_eq!(resumed.pending.as_ref().expect("cursor").epochs_done, 4);
@@ -989,7 +1067,8 @@ mod tests {
                 assert_both_reject(&noise, &format!("{len} random bytes"));
                 let behind_magic = [MAGIC.as_bytes(), &noise].concat();
                 assert_both_reject(&behind_magic, &format!("magic + {len} random bytes"));
-                assert_both_reject(&frame(4, &noise), &format!("{len} random payload bytes"));
+                let framed = frame(FORMAT_VERSION, &noise);
+                assert_both_reject(&framed, &format!("{len} random payload bytes"));
             }
         }
     }
@@ -1003,12 +1082,14 @@ mod tests {
             panic!("payload is an object")
         };
         let reject = |v: &Value, case: &str| {
-            assert_both_reject(&frame(4, serde_json::to_string(v).expect("json").as_bytes()), case)
+            let payload = serde_json::to_string(v).expect("json");
+            assert_both_reject(&frame(FORMAT_VERSION, payload.as_bytes()), case)
         };
 
         let deep = "[".repeat(10_000);
         for raw in ["", "{", "null", "[]", "0", "\"model\"", "{}", deep.as_str()] {
-            assert_both_reject(&frame(4, raw.as_bytes()), &format!("payload `{:.20}`", raw));
+            let framed = frame(FORMAT_VERSION, raw.as_bytes());
+            assert_both_reject(&framed, &format!("payload `{:.20}`", raw));
         }
         let kinds = [
             Value::Null,
@@ -1023,8 +1104,10 @@ mod tests {
             dropped.remove(i);
             reject(&Value::Object(dropped), &format!("without `{key}`"));
             for kind in &kinds {
-                // A `null` optimizer or cursor is a plain save, which is valid.
-                let plain = *kind == Value::Null && matches!(key.as_str(), "opt" | "training");
+                // A `null` weight table, optimizer or cursor is a plain
+                // save, which is valid.
+                let plain =
+                    *kind == Value::Null && matches!(key.as_str(), "weights" | "opt" | "training");
                 if std::mem::discriminant(kind) == std::mem::discriminant(original) || plain {
                     continue;
                 }
@@ -1045,27 +1128,18 @@ mod tests {
         data.pop();
         reject(&Value::Object(short), "tensor one value short of its shape");
 
-        // No GRU layers: the architecture cannot be built at all.
-        let mut no_layers = fields.clone();
-        for (key, value) in config_of(&mut no_layers) {
-            if key == "layers" {
-                *value = Value::UInt(0);
+        // Config dimensions the file's tensors do not have: no GRU layers,
+        // or widths that would overflow or exhaust memory if anything were
+        // built from them before the shapes are compared.
+        for (dim, value) in [("layers", 0), ("embed_dim", 1 << 62), ("hidden_dim", 1 << 40)] {
+            let mut edited = fields.clone();
+            for (key, v) in config_of(&mut edited) {
+                if key == dim {
+                    *v = Value::UInt(value);
+                }
             }
+            reject(&Value::Object(edited), &format!("config.{dim} = {value}"));
         }
-        reject(&Value::Object(no_layers), "config.layers = 0");
-    }
-
-    /// A plain save's payload, edited by `edit` and re-framed as v4.
-    fn edited_plain_save(
-        model: &E2dtc,
-        path: &Path,
-        edit: impl FnOnce(&mut Vec<(String, Value)>),
-    ) -> PathBuf {
-        model.save(path).expect("save");
-        let Value::Object(mut fields) = payload_value(path) else { panic!("payload is an object") };
-        edit(&mut fields);
-        write_framed(path, 4, &serde_json::to_string(&Value::Object(fields)).expect("json"));
-        path.to_path_buf()
     }
 
     fn config_of(fields: &mut [(String, Value)]) -> &mut Vec<(String, Value)> {
@@ -1079,13 +1153,25 @@ mod tests {
     /// decoder layer, which this build no longer has.
     const REMOVED_DECODER_KEY: &str = "attention";
 
+    /// A v4 plain save of `model` at `path`, edited by `edit`.
+    fn edited_v4_plain_save(
+        model: &mut E2dtc,
+        path: &Path,
+        edit: impl FnOnce(&mut Vec<(String, Value)>),
+    ) -> PathBuf {
+        model.save_checkpoint(path, &cursor()).expect("save_checkpoint");
+        rewrite_as_v4(path, true);
+        edit_payload(path, 4, edit);
+        path.to_path_buf()
+    }
+
     #[test]
     fn v4_files_with_the_removed_decoder_option() {
-        let (model, dataset) = trained_model();
+        let (mut model, dataset) = trained_model();
         let dir = test_dir("removed_decoder_key");
 
         // Option off: the stale config key is ignored.
-        let off = edited_plain_save(&model, &dir.join("off.json"), |fields| {
+        let off = edited_v4_plain_save(&mut model, &dir.join("off.json"), |fields| {
             config_of(fields).push((REMOVED_DECODER_KEY.into(), Value::Bool(false)));
         });
         let frozen = FrozenEncoder::from_checkpoint(&off).expect("stale key loads");
@@ -1094,13 +1180,13 @@ mod tests {
         // Option on: the decoder registered `attn.combine.weight` after the
         // projection, before the centroids. No architecture here has it.
         let hidden = model.cfg.hidden_dim;
-        let on = edited_plain_save(&model, &dir.join("on.json"), |fields| {
+        let at = model.store.len() - 1;
+        let on = edited_v4_plain_save(&mut model, &dir.join("on.json"), |fields| {
             config_of(fields).push((REMOVED_DECODER_KEY.into(), Value::Bool(true)));
             let Some((_, Value::Object(store))) = fields.iter_mut().find(|(k, _)| k == "store")
             else {
                 panic!("store is an object")
             };
-            let at = model.store.len() - 1;
             let Value::Array(params) = &mut store[0].1 else { panic!("params") };
             params.insert(at, Tensor::zeros(2 * hidden, hidden).to_value());
             let Value::Array(names) = &mut store[1].1 else { panic!("names") };

@@ -18,24 +18,21 @@ use rand::Rng;
 use traj_nn::layers::{Embedding, Gru, Linear};
 use traj_nn::{ParamStore, Tape, Tensor, Var};
 
-/// Encoder + decoder + output projection, sharing one token-embedding
-/// table.
+/// The encoder half: the token embedding and the encoder GRU stack. It
+/// is all that serving runs and, with the centroids, all that a plain
+/// save holds; [`Seq2Seq::new`] registers it first, so its `1 + 4·layers`
+/// tensors are the store's prefix.
 #[derive(Clone, Debug)]
-pub struct Seq2Seq {
-    /// Shared token embedding (initialized from the skip-gram cell
-    /// vectors).
+pub struct Encoder {
+    /// Token embedding (initialized from the skip-gram cell vectors),
+    /// shared with the decoder's teacher-forced inputs.
     pub embedding: Embedding,
     /// Encoder GRU stack.
-    pub encoder: Gru,
-    /// Decoder GRU stack (same depth/width as the encoder so states
-    /// transfer directly).
-    pub decoder: Gru,
-    /// Hidden-to-vocabulary projection (`W` of Eq. 8).
-    pub projection: Linear,
+    pub gru: Gru,
 }
 
-impl Seq2Seq {
-    /// Registers all parameters in `store`.
+impl Encoder {
+    /// Registers the token table, then the encoder GRU, in `store`.
     pub fn new(
         store: &mut ParamStore,
         cell_vectors: Tensor,
@@ -43,25 +40,21 @@ impl Seq2Seq {
         layers: usize,
         rng: &mut impl Rng,
     ) -> Self {
-        let vocab = cell_vectors.rows();
         let embed_dim = cell_vectors.cols();
         let embedding = Embedding::from_pretrained(store, "token", cell_vectors);
-        let encoder = Gru::new(store, "encoder", embed_dim, hidden_dim, layers, rng);
-        let decoder = Gru::new(store, "decoder", embed_dim, hidden_dim, layers, rng);
-        let projection = Linear::new(store, "proj", hidden_dim, vocab, rng);
-        Self { embedding, encoder, decoder, projection }
+        let gru = Gru::new(store, "encoder", embed_dim, hidden_dim, layers, rng);
+        Self { embedding, gru }
     }
 
-    /// Number of tensors [`Seq2Seq::new`] registers for `layers` GRU
-    /// layers: the token table, four per layer in the encoder and in the
-    /// decoder, and the projection's weight and bias. Saturates.
+    /// Number of tensors [`Encoder::new`] registers for `layers` GRU
+    /// layers: the token table and four per layer. Saturates.
     pub(crate) fn param_count(layers: usize) -> usize {
-        layers.saturating_mul(8).saturating_add(3)
+        layers.saturating_mul(4).saturating_add(1)
     }
 
     /// Trajectory-representation dimensionality.
     pub fn hidden_dim(&self) -> usize {
-        self.encoder.hidden_dim()
+        self.gru.hidden_dim()
     }
 
     /// Encodes a batch of dense token sequences into the per-layer final
@@ -76,16 +69,54 @@ impl Seq2Seq {
         let batch = seqs.len();
         let max_len = seqs.iter().map(|s| s.len()).max().expect("non-empty batch");
 
-        let mut state = self.encoder.zero_state(tape, batch);
+        let mut state = self.gru.zero_state(tape, batch);
         let mut live_buf = Vec::with_capacity(batch);
         for t in 0..max_len {
             let ids: Vec<usize> =
                 seqs.iter().map(|s| s.get(t).copied().unwrap_or(UNK)).collect();
             let x = self.embedding.forward(tape, store, &ids);
             let live = live_rows(seqs, t, &mut live_buf);
-            self.encoder.step(tape, store, x, &mut state, live);
+            self.gru.step(tape, store, x, &mut state, live);
         }
         state
+    }
+}
+
+/// Encoder half + decoder + output projection. The decoder reads the
+/// encoder's token table.
+#[derive(Clone, Debug)]
+pub struct Seq2Seq {
+    /// The encoder half, registered first.
+    pub encoder: Encoder,
+    /// Decoder GRU stack (same depth/width as the encoder so states
+    /// transfer directly).
+    pub decoder: Gru,
+    /// Hidden-to-vocabulary projection (`W` of Eq. 8).
+    pub projection: Linear,
+}
+
+impl Seq2Seq {
+    /// Registers all parameters in `store`: token table, encoder,
+    /// decoder, projection.
+    pub fn new(
+        store: &mut ParamStore,
+        cell_vectors: Tensor,
+        hidden_dim: usize,
+        layers: usize,
+        rng: &mut impl Rng,
+    ) -> Self {
+        let (vocab, embed_dim) = cell_vectors.shape();
+        let encoder = Encoder::new(store, cell_vectors, hidden_dim, layers, rng);
+        let decoder = Gru::new(store, "decoder", embed_dim, hidden_dim, layers, rng);
+        let projection = Linear::new(store, "proj", hidden_dim, vocab, rng);
+        Self { encoder, decoder, projection }
+    }
+
+    /// Number of tensors [`Seq2Seq::new`] registers for `layers` GRU
+    /// layers: the encoder half's, four per decoder layer, and the
+    /// projection's weight and bias. Saturates.
+    pub(crate) fn param_count(layers: usize) -> usize {
+        Encoder::param_count(layers).saturating_add(layers.saturating_mul(4)).saturating_add(2)
     }
 
     /// Teacher-forced reconstruction loss (Eq. 8) of `targets` given the
@@ -118,7 +149,7 @@ impl Seq2Seq {
                 .iter()
                 .map(|s| if t == 0 { BOS } else { s.get(t - 1).copied().unwrap_or(UNK) })
                 .collect();
-            let x = self.embedding.forward(tape, store, &ids);
+            let x = self.encoder.embedding.forward(tape, store, &ids);
             let live = live_rows(targets, t, &mut live_buf);
             let h = self.decoder.step(tape, store, x, &mut state, live);
             let logits = self.projection.forward(tape, store, h);
@@ -150,6 +181,41 @@ pub(crate) fn live_rows<'a>(
     live.clear();
     live.extend(seqs.iter().enumerate().filter(|(_, s)| t < s.len()).map(|(i, _)| i));
     (live.len() < seqs.len()).then_some(live.as_slice())
+}
+
+/// `(name, shape)` of each tensor [`Seq2Seq::new`] registers, in order,
+/// for a `vocab`-token table: the encoder half, then with `decoder` the
+/// decoder half and projection. A loader checks a file against these
+/// before it builds anything, so callers bound `layers` by the file's
+/// tensor count first.
+pub(crate) fn param_shapes(
+    vocab: usize,
+    embed_dim: usize,
+    hidden_dim: usize,
+    layers: usize,
+    decoder: bool,
+) -> Vec<(String, (usize, usize))> {
+    let gates = hidden_dim.saturating_mul(3);
+    let gru = |name: &str, shapes: &mut Vec<(String, (usize, usize))>| {
+        for l in 0..layers {
+            let input = if l == 0 { embed_dim } else { hidden_dim };
+            let cell = [
+                ("w_x", (input, gates)),
+                ("w_h", (hidden_dim, gates)),
+                ("b_x", (1, gates)),
+                ("b_h", (1, gates)),
+            ];
+            shapes.extend(cell.map(|(t, shape)| (format!("{name}.layer{l}.{t}"), shape)));
+        }
+    };
+    let mut shapes = vec![("token.table".to_string(), (vocab, embed_dim))];
+    gru("encoder", &mut shapes);
+    if decoder {
+        gru("decoder", &mut shapes);
+        shapes.push(("proj.weight".into(), (hidden_dim, vocab)));
+        shapes.push(("proj.bias".into(), (1, vocab)));
+    }
+    shapes
 }
 
 #[cfg(test)]
@@ -187,11 +253,20 @@ mod tests {
 
     #[test]
     fn param_count_matches_registration() {
+        let registered = |store: &ParamStore| -> Vec<(String, (usize, usize))> {
+            store.ids().map(|id| (store.name(id).to_string(), store.get(id).shape())).collect()
+        };
         for layers in 1..=3 {
-            let mut store = ParamStore::new();
             let mut rng = StdRng::seed_from_u64(0);
+            let mut store = ParamStore::new();
             let _ = Seq2Seq::new(&mut store, Tensor::zeros(6, 4), 5, layers, &mut rng);
             assert_eq!(store.len(), Seq2Seq::param_count(layers), "{layers} layers");
+            assert_eq!(registered(&store), param_shapes(6, 4, 5, layers, true));
+
+            let mut store = ParamStore::new();
+            let _ = Encoder::new(&mut store, Tensor::zeros(6, 4), 5, layers, &mut rng);
+            assert_eq!(store.len(), Encoder::param_count(layers), "{layers} layers");
+            assert_eq!(registered(&store), param_shapes(6, 4, 5, layers, false));
         }
     }
 
@@ -200,7 +275,7 @@ mod tests {
         let (store, model) = tiny_model(10, 0);
         let mut tape = Tape::new();
         let seqs: Vec<&[usize]> = vec![&[2, 3, 4, 5], &[6, 7]];
-        let state = model.encode(&mut tape, &store, &seqs);
+        let state = model.encoder.encode(&mut tape, &store, &seqs);
         assert_eq!(state.len(), 2);
         assert_eq!(tape.value(state[1]).shape(), (2, 12));
     }
@@ -211,9 +286,9 @@ mod tests {
         let (store, model) = tiny_model(10, 0);
         let mut tape = Tape::new();
         let batch: Vec<&[usize]> = vec![&[2, 3, 4, 5], &[6, 7]];
-        let enc_batch = model.encode(&mut tape, &store, &batch);
+        let enc_batch = model.encoder.encode(&mut tape, &store, &batch);
         let solo: Vec<&[usize]> = vec![&[6, 7]];
-        let enc_solo = model.encode(&mut tape, &store, &solo);
+        let enc_solo = model.encoder.encode(&mut tape, &store, &solo);
         let padded_row = tape.value(enc_batch[1]).row(1).to_vec();
         let solo_row = tape.value(enc_solo[1]).row(0).to_vec();
         for (a, b) in padded_row.iter().zip(&solo_row) {
@@ -228,7 +303,7 @@ mod tests {
         let (store, model) = tiny_model(vocab, 2);
         let mut tape = Tape::new();
         let seqs: Vec<&[usize]> = vec![&[2, 3, 4], &[3, 4]];
-        let enc = model.encode(&mut tape, &store, &seqs);
+        let enc = model.encoder.encode(&mut tape, &store, &seqs);
         let loss = model.reconstruction_loss(&mut tape, &store, &enc, &seqs, &wt);
         let v = tape.value(loss).get(0, 0);
         assert!(v.is_finite() && v > 0.0, "loss = {v}");
@@ -244,14 +319,14 @@ mod tests {
         let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
         let loss_at = |store: &ParamStore| -> f32 {
             let mut tape = Tape::new();
-            let enc = model.encode(&mut tape, store, &refs);
+            let enc = model.encoder.encode(&mut tape, store, &refs);
             let loss = model.reconstruction_loss(&mut tape, store, &enc, &refs, &wt);
             tape.value(loss).get(0, 0)
         };
         let before = loss_at(&store);
         for _ in 0..30 {
             let mut tape = Tape::new();
-            let enc = model.encode(&mut tape, &store, &refs);
+            let enc = model.encoder.encode(&mut tape, &store, &refs);
             let loss = model.reconstruction_loss(&mut tape, &store, &enc, &refs, &wt);
             tape.backward(loss, &mut store);
             opt.step(&mut store);
@@ -268,6 +343,6 @@ mod tests {
     fn empty_batch_panics() {
         let (store, model) = tiny_model(8, 0);
         let mut tape = Tape::new();
-        let _ = model.encode(&mut tape, &store, &[]);
+        let _ = model.encoder.encode(&mut tape, &store, &[]);
     }
 }

@@ -32,9 +32,9 @@
 //! - **Non-finite guards** — every batch's loss and gradients pass
 //!   through a [`traj_nn::NonFiniteGuard`]; a poisoned update is skipped
 //!   (gradients zeroed, no optimizer step), and after
-//!   `guard_patience` consecutive poisoned batches the epoch is replayed
+//!   `GUARD_PATIENCE` consecutive poisoned batches the epoch is replayed
 //!   from an in-memory start-of-epoch snapshot with the learning rate
-//!   multiplied by `guard_lr_backoff`. Recoveries surface in
+//!   multiplied by `GUARD_LR_BACKOFF`. Recoveries surface in
 //!   [`EpochRecord::skipped_batches`] / [`EpochRecord::rollbacks`].
 //! - **Periodic durable checkpoints** — with `checkpoint_every > 0` and a
 //!   `checkpoint_dir`, a training checkpoint (atomic write, checksum;
@@ -67,6 +67,13 @@ use traj_nn::{
 /// non-finite batch when the instability is deterministic; the budget
 /// turns that pathology into an early stop instead of a livelock.
 const MAX_ROLLBACKS: usize = 8;
+
+/// Consecutive non-finite batches `fit` tolerates before it rolls the
+/// epoch back to its start-of-epoch snapshot.
+const GUARD_PATIENCE: usize = 3;
+
+/// Learning-rate multiplier applied on each guard rollback.
+const GUARD_LR_BACKOFF: f32 = 0.5;
 
 /// Which phase an epoch record belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -104,13 +111,9 @@ pub struct EpochRecord {
     /// (self-training only).
     pub label_change: Option<f64>,
     /// Mean pre-clip global gradient norm over applied optimizer steps
-    /// (0 when no step was applied). Early v3 checkpoints predate the
-    /// field and deserialize to 0.
-    #[serde(default)]
+    /// (0 when no step was applied).
     pub grad_norm: f32,
-    /// Learning rate in force during the epoch. Early v3 checkpoints
-    /// predate the field and deserialize to 0.
-    #[serde(default)]
+    /// Learning rate in force during the epoch.
     pub lr: f32,
     /// Batches whose update was dropped by the non-finite guard.
     pub skipped_batches: usize,
@@ -256,7 +259,7 @@ impl E2dtc {
         dataset: &Dataset,
         callback: &mut EpochCallback<'_>,
     ) -> FitResult {
-        self.ensure_sequences(dataset);
+        self.sequences = self.dataset_sequences(dataset);
         let mut st = match self.pending.take() {
             Some(s) => {
                 // Rejoin the interrupted run's RNG stream exactly where
@@ -266,7 +269,7 @@ impl E2dtc {
             }
             None => TrainingState::fresh(),
         };
-        let mut run = Run::new(self.cfg.guard_patience);
+        let mut run = Run::new(GUARD_PATIENCE);
         let fit_span = self.recorder.span("fit");
 
         // — Phase 2: pre-training (skipped entirely when resuming past it) —
@@ -280,7 +283,7 @@ impl E2dtc {
                 // embedding half of the t2vec + k-means baseline).
                 let n = dataset.len();
                 let d = self.repr_dim();
-                let emb = self.clustering_embeddings(dataset);
+                let emb = self.clustering_embeddings();
                 let res = best_kmeans(
                     emb.data(),
                     n,
@@ -303,7 +306,7 @@ impl E2dtc {
 
             // Phase transition: seed the centroids and anneal the LR.
             let _init_span = self.recorder.span("centroid_init");
-            let emb = self.clustering_embeddings(dataset);
+            let emb = self.clustering_embeddings();
             self.init_centroids(&emb);
             self.opt.set_lr(self.cfg.lr * self.cfg.selftrain_lr_scale);
             st.phase = Phase::SelfTrain;
@@ -318,7 +321,7 @@ impl E2dtc {
         // Final assignment with the trained parameters.
         let centroids_id =
             self.centroids.expect("centroids exist after pre-training or resume");
-        let emb = self.clustering_embeddings(dataset);
+        let emb = self.clustering_embeddings();
         let q = student_t_assignment(&emb, self.store.get(centroids_id));
         drop(fit_span);
         self.finish_run();
@@ -358,7 +361,7 @@ impl E2dtc {
                     // Epoch bookkeeping: Q, P, assignments, stopping rule.
                     let centroids =
                         self.centroids.expect("centroids exist after pre-training or resume");
-                    let emb = self.clustering_embeddings(dataset);
+                    let emb = self.clustering_embeddings();
                     let q = student_t_assignment(&emb, self.store.get(centroids));
                     let p = target_distribution(&q);
                     let assign = hard_assignment(&q);
@@ -437,7 +440,7 @@ impl E2dtc {
     /// pre-training keeps no snapshot, so its patience-0 guard never rolls
     /// back — that escalation belongs to [`E2dtc::fit`].
     pub fn pretrain(&mut self, dataset: &Dataset, epochs: usize) -> Vec<EpochRecord> {
-        self.ensure_sequences(dataset);
+        self.sequences = self.dataset_sequences(dataset);
         let mut run = Run::new(0);
         (0..epochs)
             .map(|epoch| {
@@ -462,7 +465,7 @@ impl E2dtc {
         epoch: usize,
         targets: Option<&Targets>,
     ) -> Option<EpochRecord> {
-        let batches = self.make_batches(dataset.len());
+        let batches = self.make_batches();
         let (mut sum_r, mut sum_c, mut sum_t) = (0.0f64, 0.0f64, 0.0f64);
         let mut sum_norm = 0.0f64;
         let mut count = 0usize;
@@ -504,14 +507,15 @@ impl E2dtc {
         })
     }
 
-    /// Embeds `dataset` for fit's clustering passes (centroid init, the
-    /// per-epoch Q/P refresh, the final assignment, the L0 k-means). No
-    /// gradient flows through these, so they run the eval forward, which
-    /// is bit-identical to the tape's (`encoder::tests`).
-    fn clustering_embeddings(&mut self, dataset: &Dataset) -> Tensor {
+    /// Embeds the training sequences for fit's clustering passes
+    /// (centroid init, the per-epoch Q/P refresh, the final assignment,
+    /// the L0 k-means). No gradient flows through these, so they run the
+    /// eval forward, which is bit-identical to the tape's
+    /// (`encoder::tests`).
+    fn clustering_embeddings(&mut self) -> Tensor {
         // Draw the batch shuffle anyway so goldens, resume and seeded runs stay byte-identical.
-        self.make_batches(dataset.len());
-        self.embed_dataset(dataset)
+        self.make_batches();
+        self.embed_sequences(&self.sequences)
     }
 
     /// Initializes the cluster centroids by k-means over the embeddings
@@ -550,8 +554,9 @@ impl E2dtc {
         // first; the corrupted variants are the positives and drive
         // reconstruction in both phases.
         let top = |state: Vec<Var>| *state.last().expect("at least one layer");
-        let anchors = targets.map(|_| top(self.model.encode(tape, &self.store, &original_refs)));
-        let enc_corr = self.model.encode(tape, &self.store, &input_refs);
+        let encoder = &self.model.encoder;
+        let anchors = targets.map(|_| top(encoder.encode(tape, &self.store, &original_refs)));
+        let enc_corr = encoder.encode(tape, &self.store, &input_refs);
         let l_r = self.model.reconstruction_loss(
             tape,
             &self.store,
@@ -631,7 +636,7 @@ impl E2dtc {
     fn restore(&mut self, snap: &Snapshot, st: &mut TrainingState, guard: &mut NonFiniteGuard) {
         self.store = snap.store.clone();
         self.opt = snap.opt.clone();
-        self.opt.set_lr(self.opt.lr() * self.cfg.guard_lr_backoff);
+        self.opt.set_lr(self.opt.lr() * GUARD_LR_BACKOFF);
         self.rng = StdRng::restore(snap.rng);
         st.prev_assign = snap.prev_assign.clone();
         guard.reset_streak();
@@ -670,15 +675,6 @@ impl E2dtc {
         }
     }
 
-    /// Re-tokenizes `dataset` into `self.sequences` when they are absent
-    /// or misaligned (e.g. after [`E2dtc::resume`], or when training moves
-    /// to a different dataset).
-    pub(crate) fn ensure_sequences(&mut self, dataset: &Dataset) {
-        if self.sequences.len() != dataset.len() {
-            self.sequences = self.dataset_sequences(dataset);
-        }
-    }
-
     /// Tokenizes an arbitrary dataset with the *training* grid/vocabulary
     /// (unknown cells become `UNK`).
     pub(crate) fn dataset_sequences(&self, dataset: &Dataset) -> Vec<Vec<usize>> {
@@ -689,10 +685,10 @@ impl E2dtc {
             .collect()
     }
 
-    /// Index batches sorted by sequence length (minimizes padding), with
-    /// shuffled batch order.
-    fn make_batches(&mut self, n: usize) -> Vec<Vec<usize>> {
-        let lens: Vec<usize> = (0..n).map(|i| self.sequences[i].len()).collect();
+    /// Index batches of the training sequences sorted by length
+    /// (minimizes padding), with shuffled batch order.
+    fn make_batches(&mut self) -> Vec<Vec<usize>> {
+        let lens: Vec<usize> = self.sequences.iter().map(Vec::len).collect();
         let mut batches = length_buckets(&lens, self.cfg.batch_size);
         shuffle_batches(&mut batches, &mut self.rng);
         batches
@@ -863,6 +859,29 @@ mod tests {
         assert_eq!(f1.assignments, f2.assignments);
         assert_eq!(f1.embeddings, f2.embeddings);
         assert_eq!(f1.history.len(), f2.history.len());
+    }
+
+    #[test]
+    fn fit_trains_on_the_dataset_it_is_given() {
+        // Two cities of the same size: a model built on `a` and fitted on
+        // `b` must take its reconstruction targets and batch lengths from
+        // `b`, exactly as a model whose sequences were tokenized from `b`.
+        let a = tiny_city(30, 3).dataset;
+        let mut spec = traj_data::SynthSpec::hangzhou_like(30, 7);
+        spec.num_clusters = 3;
+        spec.len_range = (8, 16);
+        spec.outlier_fraction = 0.0;
+        let b = spec.generate().dataset;
+        let mut stale = E2dtc::new(&a, E2dtcConfig::tiny(3));
+        let mut fresh = E2dtc::new(&a, E2dtcConfig::tiny(3));
+        fresh.sequences = fresh.dataset_sequences(&b);
+        let (got, want) = (stale.fit(&b), fresh.fit(&b));
+        let losses = |fit: &FitResult| -> Vec<f32> {
+            fit.history.iter().map(|r| r.recon_loss).collect()
+        };
+        assert_eq!(losses(&got), losses(&want));
+        assert_eq!(got.assignments, want.assignments);
+        assert_eq!(got.embeddings, want.embeddings);
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! Every forward that is not differentiated runs the one tape-free eval
 //! path (`encoder::embed_tokenized`); its bit-identity with the tape's
-//! `Seq2Seq::encode` is pinned inside the crate (`encoder::tests`). Here
+//! `Encoder::encode` is pinned inside the crate (`encoder::tests`). Here
 //! the public surfaces must agree to the last bit for every trajectory:
 //!
 //! 1. `E2dtc::fit`'s returned embeddings (its final clustering pass);
 //! 2. `E2dtc::embed_dataset` — the `&self` path;
 //! 3. `FrozenEncoder::embed_dataset` — the same path through a frozen
-//!    snapshot, including one round-tripped through a v3 checkpoint.
+//!    snapshot, including ones loaded from a plain save (the encoder half
+//!    and centroids alone) and from a training checkpoint (the whole
+//!    model, whose decoder half the loader skips).
 //!
 //! Exactness holds because every path runs the same kernels in the same
 //! float-operation order; any drift is a bug, not tolerance noise, so
@@ -78,6 +80,33 @@ fn checkpoint_roundtrip_preserves_frozen_forward_bitwise() {
     let q = model.soft_assignment(&city.dataset);
     assert_bit_identical(&q, &loaded.soft_assign(&emb), "soft assignment");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn training_checkpoint_serves_like_freeze() {
+    let city = tiny_city(25, 3);
+    let dir = std::env::temp_dir().join("e2dtc_frozen_parity_ckpt");
+    std::fs::remove_dir_all(&dir).ok();
+    let cfg = E2dtcConfig::tiny(3).with_checkpointing(dir.to_string_lossy(), 1);
+    let mut model = E2dtc::new(&city.dataset, cfg);
+    let _ = model.fit(&city.dataset);
+    // Every epoch is checkpointed, and the final assignment changes no
+    // parameter, so the newest checkpoint holds the final model.
+    let newest = e2dtc::persist::list_checkpoints(&dir).expect("list").pop().expect("a checkpoint");
+    let loaded = FrozenEncoder::from_checkpoint(&newest).expect("from_checkpoint");
+    let direct = model.freeze();
+
+    assert_bit_identical(
+        &direct.embed_dataset(&city.dataset),
+        &loaded.embed_dataset(&city.dataset),
+        "freeze() vs from_checkpoint(training checkpoint)",
+    );
+    assert_bit_identical(
+        direct.centroids().expect("centroids"),
+        loaded.centroids().expect("centroids"),
+        "centroids",
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //!   themselves are proprietary or unavailable; see DESIGN.md for the
 //!   substitution argument);
 //! - the ground-truth labelling Algorithm 2 in [`ground_truth`] — §VI;
-//! - Table II / Table V statistics in [`stats`] and JSON/CSV I/O in [`io`].
+//! - Table II / Table V statistics in [`stats`] and JSON I/O in [`io`].
 
 #![warn(missing_docs)]
 

@@ -120,15 +120,6 @@ impl ParamStore {
         self.grads.iter().any(Tensor::has_non_finite)
     }
 
-    /// Name of the first parameter whose *value* holds a NaN or infinity,
-    /// if any (used to validate loaded checkpoints).
-    pub fn first_non_finite_param(&self) -> Option<&str> {
-        self.params
-            .iter()
-            .position(Tensor::has_non_finite)
-            .map(|i| self.names[i].as_str())
-    }
-
     /// Scales every gradient so the global norm does not exceed `max_norm`.
     ///
     /// This is the "clip the gradients by enforcing a maximum gradient norm

@@ -1,6 +1,6 @@
 //! Domain example: building a labelled trajectory-clustering benchmark
-//! from an unlabelled dataset with the paper's Algorithm 2, then exporting
-//! it for other tools.
+//! from an unlabelled dataset with the paper's Algorithm 2, then saving
+//! it as JSON.
 //!
 //! Shows the effect of the two parameters: the radius ratio σ (cluster
 //! area) and the fallen threshold λ (membership strictness) — the paper's
@@ -11,7 +11,7 @@
 //! ```
 
 use traj_data::ground_truth::{cluster_radius_m, generate_ground_truth};
-use traj_data::io::{export_labeled_csv, save_labeled_json};
+use traj_data::io::save_labeled_json;
 use traj_data::{GroundTruthConfig, SynthSpec};
 
 fn main() {
@@ -37,19 +37,12 @@ fn main() {
         }
     }
 
-    // The paper's setting, exported for downstream use.
+    // The paper's setting, saved for downstream use.
     let (labelled, _) =
         generate_ground_truth(&city.dataset, &city.pois, GroundTruthConfig::default());
     let dir = std::env::temp_dir().join("e2dtc_example");
     std::fs::create_dir_all(&dir).expect("create output dir");
     let json = dir.join("geolife_like_labelled.json");
-    let csv = dir.join("geolife_like_labelled.csv");
     save_labeled_json(&labelled, &json).expect("write json");
-    export_labeled_csv(&labelled, &csv).expect("write csv");
-    println!(
-        "\nexported {} labelled trajectories:\n  {}\n  {}",
-        labelled.len(),
-        json.display(),
-        csv.display()
-    );
+    println!("\nsaved {} labelled trajectories to {}", labelled.len(), json.display());
 }

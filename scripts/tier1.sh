@@ -22,16 +22,20 @@
 #   smoke  — the CLI end-to-end on a tiny synthetic city: generate →
 #            train on a copy with one `lat` set to null, which must fail
 #            with `error:` → train (the plain save must carry no
-#            gradients and no Adam state) → a second train with the same
+#            gradients, Adam state, weight table, decoder or projection)
+#            → a second train with the same
 #            seed, whose model.json must be byte-identical → embed and
 #            assign (both through the frozen encoder from the
 #            checkpoint), whose labels must agree → evaluate on those
 #            labels with one id set to 1000000, which must finish within
 #            10 s; then a
-#            checkpointed train resumed from its checkpoint directory with
-#            the newest checkpoint deleted, whose model.json must be
-#            byte-identical to the uninterrupted run's, and a resume from
-#            the plain save, which must fail with `error:`
+#            checkpointed train, whose newest checkpoint must still hold
+#            the weight table, decoder and projection and must embed
+#            byte-identically to its plain save, resumed from its
+#            checkpoint directory with the newest checkpoint deleted,
+#            whose model.json must be byte-identical to the uninterrupted
+#            run's, and a resume from the plain save, which must fail
+#            with `error:`
 #   ablations — the `ablations` harness bin on 60 trajectories, run inside
 #            the temp dir so its experiments_out/ lands there; its JSON
 #            must hold the 4 rows it writes (Eq. 8 weights vs plain NLL,
@@ -71,8 +75,10 @@ if [ "$rc" -ne 1 ] || ! grep -q '^error:' "$smoke_dir/null_err.txt"; then
 fi
 ./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/model.json" \
     --preset fast --quiet
-if ! tail -n +2 "$smoke_dir/model.json" | jq -e '(.store | has("grads") | not) and .opt == null' >/dev/null; then
-    echo "tier1: plain model save carries gradients or optimizer state" >&2
+decoder_names='any(.store.names[]; startswith("decoder.")) and any(.store.names[]; startswith("proj."))'
+if ! tail -n +2 "$smoke_dir/model.json" | jq -e "(.store | has(\"grads\") | not) and .opt == null
+    and .weights == null and ($decoder_names | not)" >/dev/null; then
+    echo "tier1: plain model save carries gradients, optimizer state, weights or the decoder" >&2
     exit 1
 fi
 ./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/model_again.json" \
@@ -98,8 +104,22 @@ if ! timeout 10 ./target/release/e2dtc evaluate --data "$smoke_dir/data.json" \
 fi
 ./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/ck_model.json" \
     --preset fast --checkpoint-dir "$smoke_dir/ck" --checkpoint-every 1 --quiet
+newest_ckpt="$(ls "$smoke_dir"/ck/ckpt-*.json | sort | tail -n 1)"
+if ! tail -n +2 "$newest_ckpt" | jq -e ".weights != null and $decoder_names" >/dev/null; then
+    echo "tier1: the newest training checkpoint lacks the weight table or the decoder" >&2
+    exit 1
+fi
+# Serving reads both layouts: the final checkpoint embeds like the plain save.
+./target/release/e2dtc embed --model "$newest_ckpt" --data "$smoke_dir/data.json" \
+    --out "$smoke_dir/ckpt_emb.json" --quiet
+./target/release/e2dtc embed --model "$smoke_dir/ck_model.json" --data "$smoke_dir/data.json" \
+    --out "$smoke_dir/ck_model_emb.json" --quiet
+if ! cmp -s "$smoke_dir/ckpt_emb.json" "$smoke_dir/ck_model_emb.json"; then
+    echo "tier1: embed from the newest checkpoint differs from embed from its plain save" >&2
+    exit 1
+fi
 # Drop the newest checkpoint so the resume replays real epochs.
-rm "$(ls "$smoke_dir"/ck/ckpt-*.json | sort | tail -n 1)"
+rm "$newest_ckpt"
 ./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/resumed.json" \
     --resume "$smoke_dir/ck" --quiet
 if ! cmp -s "$smoke_dir/ck_model.json" "$smoke_dir/resumed.json"; then
