@@ -2,8 +2,8 @@
 //! per-pair costs that make Fig. 3's O(n²) baselines explode.
 //!
 //! Two layers: `pair_kernels` times each pre-projected trig-free kernel
-//! (and the Sakoe-Chiba banded DTW) on one pair, and `distance_matrix`
-//! measures the full blocked O(n²) computation.
+//! on one pair, and `distance_matrix` measures the full blocked O(n²)
+//! computation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -24,9 +24,6 @@ fn bench_pair_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("pair_kernels");
     group.bench_function("dtw_projected", |bch| {
         bch.iter(|| traj_dist::dtw::dtw_projected(black_box(pa), black_box(pb)))
-    });
-    group.bench_function("dtw_projected_banded8", |bch| {
-        bch.iter(|| traj_dist::dtw::dtw_projected_banded(black_box(pa), black_box(pb), 8))
     });
     group.bench_function("edr_projected", |bch| {
         bch.iter(|| traj_dist::edr::edr_projected(black_box(pa), black_box(pb), 200.0))
@@ -49,12 +46,6 @@ fn bench_matrix_scaling(c: &mut Criterion) {
             bch.iter(|| DistanceMatrix::compute(black_box(ts), &Metric::Dtw))
         });
     }
-    // Banded DTW trades a documented approximation for the scalability
-    // sweep; benchmarked at the largest size for the n² comparison.
-    let ts = sample_trajectories(200, 2);
-    group.bench_function("dtw_banded8_matrix/200", |bch| {
-        bch.iter(|| DistanceMatrix::compute(black_box(&ts), &Metric::DtwBanded { band: 8 }))
-    });
     group.finish();
 }
 

@@ -1,6 +1,8 @@
 //! Criterion benches for the serve path: the tape-free
-//! [`FrozenEncoder`](e2dtc::FrozenEncoder) embedding and the
-//! [`QueryEngine`] micro-batch front-end over it.
+//! [`FrozenEncoder`](e2dtc::FrozenEncoder) embedding, and the
+//! [`QueryEngine`] assignment calls over it. The engine embeds through
+//! the same batched loop as `FrozenEncoder::embed_dataset`, so embedding
+//! is timed once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use e2dtc::{E2dtc, E2dtcConfig};
@@ -23,15 +25,11 @@ fn setup(n: usize) -> (E2dtc, Dataset) {
 
 fn bench_embed_paths(c: &mut Criterion) {
     let (model, data) = setup(200);
-    let frozen = Arc::new(model.freeze());
+    let frozen = model.freeze();
     let mut group = c.benchmark_group("embed_200");
     group.sample_size(10);
     group.bench_function("frozen", |b| {
         b.iter(|| black_box(frozen.embed_dataset(&data)))
-    });
-    let engine = QueryEngine::new(frozen, QueryConfig { batch_size: 32 });
-    group.bench_function("engine", |b| {
-        b.iter(|| black_box(engine.embed_batch(&data.trajectories)))
     });
     group.finish();
 }

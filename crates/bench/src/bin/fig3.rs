@@ -9,16 +9,12 @@
 //! classics grow sharply (O(n²) matrices), deep methods grow mildly and
 //! are orders of magnitude faster at scale.
 //!
-//! Usage: `fig3 [--scale paper] [--seed <s>] [--dtw-band <w>]`
-//!
-//! `--dtw-band <w>` swaps the DTW baseline for Sakoe-Chiba banded DTW
-//! (width `w`) — the opt-in approximation that keeps the O(n²) sweep
-//! tractable at paper scale.
+//! Usage: `fig3 [--scale paper] [--seed <s>]`
 
 use e2dtc::LossMode;
 use e2dtc_bench::datasets::{labelled_dataset, DatasetKind};
 use e2dtc_bench::methods::time_inference_frozen;
-use e2dtc_bench::report::{arg_value, dump_json, dump_text, fmt_secs, Table};
+use e2dtc_bench::report::{dump_json, dump_text, fmt_secs, Table};
 use e2dtc_bench::setup::{train_frozen, RunArgs};
 use serde::Serialize;
 use std::sync::Arc;
@@ -38,10 +34,6 @@ struct Point {
 fn main() {
     let args = RunArgs::parse();
     let seed = args.seed;
-    let dtw_metric = match arg_value::<usize>("dtw-band") {
-        Some(band) => Metric::DtwBanded { band },
-        None => Metric::Dtw,
-    };
     let sizes: Vec<usize> = if args.paper {
         vec![10_000, 20_000, 40_000, 80_000]
     } else {
@@ -71,7 +63,7 @@ fn main() {
             let data = labelled_dataset(kind, n, seed ^ 0x5157);
             eprintln!("[fig3] {} n = {}", kind.name(), data.len());
 
-            for metric in [dtw_metric, Metric::Hausdorff] {
+            for metric in [Metric::Dtw, Metric::Hausdorff] {
                 let start = Instant::now();
                 let matrix = DistanceMatrix::compute(&data.dataset.trajectories, &metric);
                 let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);

@@ -115,26 +115,11 @@ pub fn parse_args() -> (bool, Option<usize>, u64) {
                 seed = args[i + 1].parse().unwrap_or(7);
                 i += 1;
             }
-            "--dtw-band" if i + 1 < args.len() => {
-                // Consumed by binaries that support it via `arg_value`;
-                // accepted here so the shared parser stays quiet.
-                i += 1;
-            }
             other => eprintln!("ignoring unknown argument: {other}"),
         }
         i += 1;
     }
     (paper, n, seed)
-}
-
-/// Returns the value following `--<name>` in argv, parsed, if present.
-pub fn arg_value<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let flag = format!("--{name}");
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| *a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }
 
 /// Path helper for reading artifacts back.

@@ -23,7 +23,8 @@
 //! checkpoint every N epochs (`--checkpoint-every N`, default 1; 0 is
 //! rejected); after a crash, rerunning with `--resume <dir>` continues
 //! from the newest usable one (corrupt files are skipped) and produces
-//! the same model the uninterrupted run would have.
+//! the same model the uninterrupted run would have. A self-training
+//! checkpoint resumes only on a dataset of the size it was written on.
 
 use e2dtc::{E2dtc, E2dtcConfig, FrozenEncoder, LossMode};
 use std::collections::HashMap;
@@ -269,6 +270,15 @@ fn train(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(path) => {
             let model = E2dtc::resume(path).map_err(|e| e.to_string())?;
             let st = model.pending_training().expect("resume guarantees a cursor");
+            // `fit` continues the cursor's assignments, which must cover
+            // this dataset.
+            if let Some(prev) = st.prev_assign.as_ref().filter(|p| p.len() != data.len()) {
+                return Err(format!(
+                    "{path} was written training on {} trajectories, but {data_path} holds {}",
+                    prev.len(),
+                    data.len()
+                ));
+            }
             let msg = format!(
                 "resuming from {path}: {} epochs done, continuing at {:?} epoch {}",
                 st.epochs_done, st.phase, st.next_epoch

@@ -8,27 +8,43 @@
 //! GRU), grid, vocabulary, and centroids, with no decoder, projection,
 //! tape, optimizer state, or RNG — so it is `Send + Sync` and can be
 //! shared across threads behind an `Arc` (see the `traj-query` crate for
-//! the batched fan-out engine).
+//! the serving front-end).
 //!
-//! The forward path is the tape-free eval forward from
-//! [`traj_nn::infer`], and it is the only forward that runs without a
-//! backward: serving, `E2dtc::embed_dataset`, and `fit`'s own clustering
-//! passes all go through `embed_tokenized`. It runs the same GRU cell
-//! kernel as the tape's [`Encoder::encode`], so the two are bit-identical
-//! by construction (and still compared by this module's tests) — the
-//! contract Algorithm 1 rests on, since Q/P come from these embeddings
-//! while the DEC loss gradients come from the tape's — while skipping all
-//! autograd bookkeeping, including the per-batch clone of every parameter
-//! tensor that `Tape::param` performs.
+//! `embed_tokenized` is the one batched eval forward: serving,
+//! `E2dtc::embed_dataset`, the CLI and `fit`'s own clustering passes all
+//! run it. It length-buckets the sequences into micro-batches, encodes
+//! them across the rayon pool (a request of at most 16 micro-batches
+//! runs inline, since the pool's scheduling chunk is 16 items), each
+//! worker staging its buffers in its own `thread_local!` [`Scratch`],
+//! and scatters the rows back to input order. A row depends neither on
+//! the batch it lands in nor on the thread that runs it, so results are
+//! bit-identical for any batch size and thread count. The forward is
+//! the tape-free eval path from [`traj_nn::infer`]. It runs the same GRU
+//! cell kernel as the tape's [`Encoder::encode`], so the two are
+//! bit-identical by construction (and still compared by this module's
+//! tests) — the contract Algorithm 1 rests on, since Q/P come from these
+//! embeddings while the DEC loss gradients come from the tape's — while
+//! skipping all autograd bookkeeping, including the per-batch clone of
+//! every parameter tensor that `Tape::param` performs.
 
 use crate::batcher::length_buckets;
 use crate::config::E2dtcConfig;
 use crate::dec::hard_assignment;
 use crate::seq2seq::{live_rows, Encoder};
 use crate::vocab::{Vocab, UNK};
+use rayon::prelude::*;
+use std::cell::RefCell;
+use std::time::Instant;
 use traj_data::{Dataset, Grid, Trajectory};
 use traj_nn::infer::Scratch;
 use traj_nn::{student_t_assignment, ParamStore, Tensor};
+use traj_obs::Histogram;
+
+thread_local! {
+    /// Per-thread buffer pool: every worker reuses its own scratch
+    /// tensors across micro-batches and across calls.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
+}
 
 /// Immutable trained encoder half + centroids, safe to share across
 /// threads.
@@ -78,11 +94,6 @@ impl FrozenEncoder {
         &self.vocab
     }
 
-    /// Trajectory-representation dimensionality.
-    pub fn repr_dim(&self) -> usize {
-        self.encoder.hidden_dim()
-    }
-
     /// The learned `(k, hidden)` centroids, when self-training (or
     /// [`crate::model::E2dtc::init_centroids`]) produced them.
     pub fn centroids(&self) -> Option<&Tensor> {
@@ -95,26 +106,26 @@ impl FrozenEncoder {
         self.vocab.encode_trajectory(&self.grid, traj, self.cfg.max_seq_len)
     }
 
-    /// Encodes one already-tokenized batch, returning the `(batch,
-    /// hidden)` representations. The result tensor is drawn from
-    /// `scratch`; hand it back with [`Scratch::put`] when done to keep
-    /// the pool at its allocation fixed point.
-    pub fn encode_sequences(&self, seqs: &[&[usize]], scratch: &mut Scratch) -> Tensor {
-        encode_batch(&self.encoder, &self.store, seqs, scratch)
-    }
-
-    /// Embeds a batch of trajectories (tokenize + length-bucket +
-    /// encode), returning an `(n, hidden)` tensor aligned with the input.
-    pub fn embed_batch(&self, trajs: &[Trajectory], scratch: &mut Scratch) -> Tensor {
-        let sequences: Vec<Vec<usize>> = trajs.iter().map(|t| self.tokenize(t)).collect();
-        embed_tokenized(&self.encoder, &self.store, &sequences, self.cfg.batch_size, scratch)
+    /// Embeds already-tokenized sequences (see [`FrozenEncoder::tokenize`])
+    /// in length-bucketed micro-batches of `batch_size`, returning an
+    /// `(n, hidden)` tensor aligned with the input. With `batch_ms`, each
+    /// micro-batch's encode time in milliseconds is recorded into it, in
+    /// bucket order.
+    pub fn embed_sequences(
+        &self,
+        sequences: &[Vec<usize>],
+        batch_size: usize,
+        batch_ms: Option<&mut Histogram>,
+    ) -> Tensor {
+        embed_tokenized(&self.encoder, &self.store, sequences, batch_size, batch_ms)
     }
 
     /// Embeds every trajectory of a dataset — the `&self` twin of the
     /// historical `E2dtc::embed_dataset`.
     pub fn embed_dataset(&self, dataset: &Dataset) -> Tensor {
-        let mut scratch = Scratch::new();
-        self.embed_batch(&dataset.trajectories, &mut scratch)
+        let sequences: Vec<Vec<usize>> =
+            dataset.trajectories.iter().map(|t| self.tokenize(t)).collect();
+        self.embed_sequences(&sequences, self.cfg.batch_size, None)
     }
 
     /// Soft (Student-t) cluster assignment `Q` for pre-computed
@@ -169,7 +180,7 @@ impl FrozenEncoder {
 ///
 /// # Panics
 /// Panics on an empty batch or an empty sequence.
-pub(crate) fn encode_batch(
+fn encode_batch(
     encoder: &Encoder,
     store: &ParamStore,
     seqs: &[&[usize]],
@@ -198,27 +209,48 @@ pub(crate) fn encode_batch(
     repr
 }
 
-/// Embeds pre-tokenized sequences through length-bucketed batches,
-/// scattering results back to input order. One implementation serves the
-/// `E2dtc` facade, [`FrozenEncoder::embed_batch`], and `traj-query`.
+/// The one batched eval forward: length-buckets pre-tokenized sequences
+/// into micro-batches of `batch_size`, encodes them across the worker
+/// pool and scatters the rows back to input order. With `batch_ms`, each
+/// micro-batch's encode time in milliseconds is recorded, in bucket
+/// order.
 pub(crate) fn embed_tokenized(
     encoder: &Encoder,
     store: &ParamStore,
     sequences: &[Vec<usize>],
     batch_size: usize,
-    scratch: &mut Scratch,
+    mut batch_ms: Option<&mut Histogram>,
 ) -> Tensor {
-    let n = sequences.len();
     let d = encoder.hidden_dim();
-    let mut out = Tensor::zeros(n, d);
+    let mut out = Tensor::zeros(sequences.len(), d);
     let lens: Vec<usize> = sequences.iter().map(Vec::len).collect();
-    for batch in length_buckets(&lens, batch_size) {
+    let batches = length_buckets(&lens, batch_size);
+    let timed = batch_ms.is_some();
+
+    // Each task copies its rows out and returns the scratch tensor to its
+    // own thread's pool, keeping every pool at its allocation fixed point
+    // regardless of which thread ran which batch.
+    let encode = |batch: &Vec<usize>| -> (Vec<f32>, f64) {
+        let t0 = timed.then(Instant::now);
         let refs: Vec<&[usize]> = batch.iter().map(|&i| sequences[i].as_slice()).collect();
-        let repr = encode_batch(encoder, store, &refs, scratch);
+        let rows = SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            let repr = encode_batch(encoder, store, &refs, scratch);
+            let rows = repr.data().to_vec();
+            scratch.put(repr);
+            rows
+        });
+        (rows, t0.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3))
+    };
+    let encoded: Vec<(Vec<f32>, f64)> = batches.par_iter().map(encode).collect();
+
+    for (batch, (rows, ms)) in batches.iter().zip(encoded) {
         for (row, &i) in batch.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(repr.row(row));
+            out.row_mut(i).copy_from_slice(&rows[row * d..(row + 1) * d]);
         }
-        scratch.put(repr);
+        if let Some(h) = batch_ms.as_deref_mut() {
+            h.record(ms);
+        }
     }
     out
 }
@@ -254,9 +286,8 @@ mod tests {
             buckets.iter().any(|b| b.iter().any(|&i| lens[i] != lens[b[0]])),
             "fixture must contain ragged batches so packed steps run"
         );
-        let mut scratch = Scratch::new();
         let encoder = &model.model.encoder;
-        let eval = embed_tokenized(encoder, &model.store, &sequences, batch_size, &mut scratch);
+        let eval = embed_tokenized(encoder, &model.store, &sequences, batch_size, None);
 
         let mut tape = Tape::new();
         for batch in &buckets {

@@ -32,7 +32,6 @@ use crate::vocab::Vocab;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use traj_data::{Dataset, Grid};
-use traj_nn::infer::Scratch;
 use traj_nn::optim::Adam;
 use traj_nn::{student_t_assignment, ParamId, ParamStore, Tensor};
 
@@ -178,8 +177,7 @@ impl E2dtc {
     /// The eval forward over already-tokenized sequences.
     pub(crate) fn embed_sequences(&self, sequences: &[Vec<usize>]) -> Tensor {
         let (encoder, batch_size) = (&self.model.encoder, self.cfg.batch_size);
-        let mut scratch = Scratch::new();
-        crate::encoder::embed_tokenized(encoder, &self.store, sequences, batch_size, &mut scratch)
+        crate::encoder::embed_tokenized(encoder, &self.store, sequences, batch_size, None)
     }
 
     /// Soft cluster assignment `Q` for a dataset under the trained model.

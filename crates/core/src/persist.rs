@@ -360,6 +360,14 @@ fn parse_parts(bytes: &[u8]) -> Result<LoadedParts, PersistError> {
         let payload = saved.format_version;
         return Err(PersistError::BadHeader(format!("header says v{version}, payload v{payload}")));
     }
+    // Grid, vocabulary and weight table must agree with each other, so
+    // nothing a loaded model runs can index past them.
+    let invalid = |part: &str, e: String| PersistError::Json(format!("{part}: {e}"));
+    saved.grid.validate().map_err(|e| invalid("grid", e))?;
+    saved.vocab.validate(&saved.grid).map_err(|e| invalid("vocab", e))?;
+    if let Some(weights) = &saved.weights {
+        weights.validate(saved.vocab.size()).map_err(|e| invalid("weights", e))?;
+    }
     let SavedModel { config: cfg, store: SavedParams { mut params, names }, .. } = saved;
 
     // The tensor count is checked before `config.layers` sizes anything:
@@ -1133,19 +1141,38 @@ mod tests {
         // built from them before the shapes are compared.
         for (dim, value) in [("layers", 0), ("embed_dim", 1 << 62), ("hidden_dim", 1 << 40)] {
             let mut edited = fields.clone();
-            for (key, v) in config_of(&mut edited) {
+            for (key, v) in object_of(&mut edited, "config") {
                 if key == dim {
                     *v = Value::UInt(value);
                 }
             }
             reject(&Value::Object(edited), &format!("config.{dim} = {value}"));
         }
+
+        // A grid, vocabulary or weight table that disagrees with itself or
+        // with the others, which a later embed or fit would index past.
+        let mut edited = fields.clone();
+        for (key, v) in object_of(&mut edited, "grid") {
+            if key == "nx" {
+                *v = Value::UInt(0);
+            }
+        }
+        reject(&Value::Object(edited), "grid.nx = 0");
+        let mut edited = fields.clone();
+        let (_, Value::Object(dense_of_grid)) = &mut object_of(&mut edited, "vocab")[0] else {
+            panic!("vocab.dense_of_grid is an object")
+        };
+        dense_of_grid[0].1 = Value::UInt(10_000_000);
+        reject(&Value::Object(edited), "a vocab.dense_of_grid value of 10000000");
+        let mut edited = fields.clone();
+        object_of(&mut edited, "weights")[0].1 = Value::Array(Vec::new());
+        reject(&Value::Object(edited), "an empty weights.weights");
     }
 
-    fn config_of(fields: &mut [(String, Value)]) -> &mut Vec<(String, Value)> {
-        match fields.iter_mut().find(|(k, _)| k == "config") {
-            Some((_, Value::Object(cfg))) => cfg,
-            _ => panic!("config is an object"),
+    fn object_of<'a>(fields: &'a mut [(String, Value)], key: &str) -> &'a mut Vec<(String, Value)> {
+        match fields.iter_mut().find(|(k, _)| k == key) {
+            Some((_, Value::Object(entries))) => entries,
+            _ => panic!("{key} is an object"),
         }
     }
 
@@ -1172,7 +1199,7 @@ mod tests {
 
         // Option off: the stale config key is ignored.
         let off = edited_v4_plain_save(&mut model, &dir.join("off.json"), |fields| {
-            config_of(fields).push((REMOVED_DECODER_KEY.into(), Value::Bool(false)));
+            object_of(fields, "config").push((REMOVED_DECODER_KEY.into(), Value::Bool(false)));
         });
         let frozen = FrozenEncoder::from_checkpoint(&off).expect("stale key loads");
         assert_eq!(frozen.embed_dataset(&dataset), model.embed_dataset(&dataset));
@@ -1182,7 +1209,7 @@ mod tests {
         let hidden = model.cfg.hidden_dim;
         let at = model.store.len() - 1;
         let on = edited_v4_plain_save(&mut model, &dir.join("on.json"), |fields| {
-            config_of(fields).push((REMOVED_DECODER_KEY.into(), Value::Bool(true)));
+            object_of(fields, "config").push((REMOVED_DECODER_KEY.into(), Value::Bool(true)));
             let Some((_, Value::Object(store))) = fields.iter_mut().find(|(k, _)| k == "store")
             else {
                 panic!("store is an object")

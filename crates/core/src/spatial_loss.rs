@@ -89,6 +89,21 @@ impl WeightTable {
         Self { weights }
     }
 
+    /// Checks a table that was read rather than built: one entry per
+    /// vocabulary id, every column a vocabulary id, every weight finite.
+    pub(crate) fn validate(&self, vocab_size: usize) -> Result<(), String> {
+        if self.weights.len() != vocab_size {
+            return Err(format!("{} entries for {vocab_size} vocabulary ids", self.weights.len()));
+        }
+        let bad = |row: &Vec<(usize, f32)>| {
+            row.iter().any(|&(col, w)| col >= vocab_size || !w.is_finite())
+        };
+        match self.weights.iter().position(bad) {
+            Some(dense) => Err(format!("entry {dense} has an out-of-range column or weight")),
+            None => Ok(()),
+        }
+    }
+
     /// Sparse target distribution for a dense token id.
     pub fn target(&self, dense: usize) -> &[(usize, f32)] {
         &self.weights[dense]

@@ -249,6 +249,12 @@ impl E2dtc {
     /// self-training, final assignment. On a model returned by
     /// [`E2dtc::resume`], continues the interrupted run instead of
     /// starting over.
+    ///
+    /// # Panics
+    /// Panics when resuming a self-training cursor whose
+    /// [`TrainingState::prev_assign`] does not hold one label per
+    /// trajectory of `dataset`: a run resumes on the dataset it was
+    /// checkpointed on.
     pub fn fit(&mut self, dataset: &Dataset) -> FitResult {
         self.fit_with_callback(dataset, &mut |_, _, _| {})
     }

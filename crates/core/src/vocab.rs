@@ -43,6 +43,31 @@ impl Vocab {
         Self { dense_of_grid, grid_of_dense }
     }
 
+    /// Checks a vocabulary that was read rather than built against its
+    /// grid: the two maps are inverse, every dense id lies in
+    /// `SPECIALS..size()`, and every grid token is a cell of `grid`.
+    pub(crate) fn validate(&self, grid: &Grid) -> Result<(), String> {
+        if self.dense_of_grid.len() != self.grid_of_dense.len() {
+            return Err(format!(
+                "{} grid tokens map to dense ids but {} dense ids to grid tokens",
+                self.dense_of_grid.len(),
+                self.grid_of_dense.len()
+            ));
+        }
+        // With equal sizes, each cell mapping back to its own dense id
+        // makes the cells distinct, so the maps are inverse and every
+        // dense id is `SPECIALS + i` for some cell `i`.
+        for (i, &tok) in self.grid_of_dense.iter().enumerate() {
+            if tok >= grid.vocab_size() {
+                return Err(format!("cell {tok} is outside the {}-cell grid", grid.vocab_size()));
+            }
+            if self.dense_of_grid.get(&tok) != Some(&(SPECIALS + i)) {
+                return Err(format!("cell {tok} does not map back to dense id {}", SPECIALS + i));
+            }
+        }
+        Ok(())
+    }
+
     /// Total vocabulary size including specials.
     pub fn size(&self) -> usize {
         SPECIALS + self.grid_of_dense.len()

@@ -1,28 +1,44 @@
 //! `e2dtc train` with a cluster count outside `1..=|dataset|`, with a
 //! flag it does not read, with a checkpoint flag but no checkpoint
-//! directory, or with `--checkpoint-every 0`, must fail with an error
-//! message and exit code 1, not panic or train with the flag ignored.
+//! directory, with `--checkpoint-every 0`, or resuming a checkpoint
+//! written on another dataset, must fail with an error message and exit
+//! code 1, not panic or train with the flag ignored.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_e2dtc")
 }
 
-#[test]
-fn train_with_out_of_range_k_is_an_error_not_a_panic() {
-    let dir = std::env::temp_dir().join(format!("e2dtc_cli_train_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let data = dir.join("data.json");
-    let model = dir.join("model.json");
-    let path = |p: &std::path::Path| p.to_str().expect("utf-8 temp path").to_string();
+fn path(p: &Path) -> String {
+    p.to_str().expect("utf-8 temp path").to_string()
+}
 
+/// Generates a hangzhou-like city of `n` trajectories at `out`.
+fn generate(n: &str, out: &Path) {
     let status = Command::new(bin())
-        .args(["generate", "--kind", "hangzhou", "--n", "20", "--seed", "5"])
-        .args(["--out", &path(&data), "--quiet"])
+        .args(["generate", "--kind", "hangzhou", "--n", n, "--seed", "5"])
+        .args(["--out", &path(out), "--quiet"])
         .status()
         .expect("launch generate");
     assert!(status.success(), "generate failed");
+}
+
+/// A fresh temp directory for test `tag`, holding a 20-trajectory city
+/// as `data.json`.
+fn city_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("e2dtc_cli_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    generate("20", &dir.join("data.json"));
+    dir
+}
+
+#[test]
+fn train_with_out_of_range_k_is_an_error_not_a_panic() {
+    let dir = city_dir("train");
+    let data = dir.join("data.json");
+    let model = dir.join("model.json");
 
     for k in ["0", "1000"] {
         let run = Command::new(bin())
@@ -44,18 +60,9 @@ fn train_with_out_of_range_k_is_an_error_not_a_panic() {
 
 #[test]
 fn train_with_an_unknown_flag_is_an_error_and_writes_no_model() {
-    let dir = std::env::temp_dir().join(format!("e2dtc_cli_flags_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = city_dir("flags");
     let data = dir.join("data.json");
     let model = dir.join("model.json");
-    let path = |p: &std::path::Path| p.to_str().expect("utf-8 temp path").to_string();
-
-    let status = Command::new(bin())
-        .args(["generate", "--kind", "hangzhou", "--n", "20", "--seed", "5"])
-        .args(["--out", &path(&data), "--quiet"])
-        .status()
-        .expect("launch generate");
-    assert!(status.success(), "generate failed");
 
     // A misspelled valued flag (`--los` for `--loss`) and a misspelled
     // bool flag (`--quite` for `--quiet`, last on the line).
@@ -79,18 +86,9 @@ fn train_with_an_unknown_flag_is_an_error_and_writes_no_model() {
 
 #[test]
 fn train_with_checkpoint_keep_but_no_dir_is_an_error() {
-    let dir = std::env::temp_dir().join(format!("e2dtc_cli_keep_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = city_dir("keep");
     let data = dir.join("data.json");
     let model = dir.join("model.json");
-    let path = |p: &std::path::Path| p.to_str().expect("utf-8 temp path").to_string();
-
-    let status = Command::new(bin())
-        .args(["generate", "--kind", "hangzhou", "--n", "20", "--seed", "5"])
-        .args(["--out", &path(&data), "--quiet"])
-        .status()
-        .expect("launch generate");
-    assert!(status.success(), "generate failed");
 
     // Plain and resumed runs alike: the flag is checked before any
     // checkpoint is read.
@@ -115,19 +113,10 @@ fn train_with_checkpoint_keep_but_no_dir_is_an_error() {
 
 #[test]
 fn train_with_checkpoint_every_zero_is_an_error() {
-    let dir = std::env::temp_dir().join(format!("e2dtc_cli_every_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = city_dir("every");
     let data = dir.join("data.json");
     let model = dir.join("model.json");
     let ckpts = dir.join("ck");
-    let path = |p: &std::path::Path| p.to_str().expect("utf-8 temp path").to_string();
-
-    let status = Command::new(bin())
-        .args(["generate", "--kind", "hangzhou", "--n", "20", "--seed", "5"])
-        .args(["--out", &path(&data), "--quiet"])
-        .status()
-        .expect("launch generate");
-    assert!(status.success(), "generate failed");
 
     let run = Command::new(bin())
         .args(["train", "--data", &path(&data), "--out", &path(&model)])
@@ -139,5 +128,38 @@ fn train_with_checkpoint_every_zero_is_an_error() {
     assert!(stderr.contains("error: --checkpoint-every must be at least 1"), "{stderr}");
     assert!(!model.exists(), "a rejected train must not write a model");
     assert!(!ckpts.exists(), "a rejected train must not write checkpoints");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resume_on_another_dataset_is_an_error_not_a_panic() {
+    let dir = city_dir("resume");
+    let (small, large) = (dir.join("data.json"), dir.join("large.json"));
+    let model = dir.join("model.json");
+    let ckpts = dir.join("ck");
+    generate("30", &large);
+
+    let run = Command::new(bin())
+        .args(["train", "--data", &path(&small), "--out", &path(&dir.join("first.json"))])
+        .args(["--checkpoint-dir", &path(&ckpts), "--checkpoint-keep", "1", "--quiet"])
+        .output()
+        .expect("launch train");
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+    // The newest checkpoint is a self-training one, whose cursor holds
+    // one label per trajectory of the small city.
+    let newest = std::fs::read_dir(&ckpts).expect("checkpoints").next().expect("one checkpoint");
+    let saved = std::fs::read_to_string(newest.expect("entry").path()).expect("read checkpoint");
+    assert!(saved.contains("\"prev_assign\":["), "no self-training cursor in the checkpoint");
+
+    let run = Command::new(bin())
+        .args(["train", "--data", &path(&large), "--out", &path(&model)])
+        .args(["--resume", &path(&ckpts), "--quiet"])
+        .output()
+        .expect("launch train");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error:") && stderr.contains("trajectories"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!model.exists(), "a rejected resume must not write a model");
     std::fs::remove_dir_all(&dir).ok();
 }

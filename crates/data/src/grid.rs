@@ -85,6 +85,27 @@ impl Grid {
         g
     }
 
+    /// Checks the invariants [`Grid::new`] establishes, for a grid that
+    /// was read rather than built: at least one cell per axis, a cell
+    /// count that fits in `isize`, finite positive cell sizes and a
+    /// finite origin.
+    pub fn validate(&self) -> Result<(), String> {
+        let (nx, ny) = (self.nx, self.ny);
+        if nx == 0 || ny == 0 {
+            return Err(format!("{nx}x{ny} cells"));
+        }
+        if nx.checked_mul(ny).filter(|&cells| cells <= isize::MAX as usize).is_none() {
+            return Err(format!("{nx}x{ny} cells overflow the token range"));
+        }
+        if ![self.dlat, self.dlon, self.cell_meters].iter().all(|v| v.is_finite() && *v > 0.0) {
+            return Err("cell sizes must be finite and positive".into());
+        }
+        if !(self.min_lat.is_finite() && self.min_lon.is_finite()) {
+            return Err("origin must be finite".into());
+        }
+        Ok(())
+    }
+
     /// Vocabulary size `|V| = nx × ny`.
     pub fn vocab_size(&self) -> usize {
         self.nx * self.ny
@@ -160,6 +181,22 @@ mod tests {
         assert_eq!(g.token(&GpsPoint::new(30.0, 120.0, 0.0)), 0);
         assert_eq!(g.token(&GpsPoint::new(30.1, 120.1, 0.0)), g.vocab_size() - 1);
         assert!(g.vocab_size() > 100, "0.1 degree box should exceed 100 cells at 300 m");
+    }
+
+    #[test]
+    fn validate_accepts_built_grids_and_rejects_broken_ones() {
+        assert_eq!(grid().validate(), Ok(()));
+        let broken = [
+            Grid { nx: 0, ..grid() },
+            Grid { nx: usize::MAX, ny: 2, ..grid() },
+            Grid { dlat: 0.0, ..grid() },
+            Grid { dlon: f64::NAN, ..grid() },
+            Grid { cell_meters: -300.0, ..grid() },
+            Grid { min_lat: f64::INFINITY, ..grid() },
+        ];
+        for g in broken {
+            assert!(g.validate().is_err(), "{g:?}");
+        }
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! monotone alignments of the two sequences. O(|A|·|B|) time, O(min) space
 //! via a rolling row.
 //!
-//! Two trig-free rolling-row kernels over pre-projected [`ProjectedTraj`]
-//! buffers share the recurrence: [`dtw_projected`] over the full table
-//! and [`dtw_projected_banded`] under a Sakoe–Chiba band.
+//! [`dtw_projected`] is a trig-free rolling-row kernel over pre-projected
+//! [`ProjectedTraj`] buffers.
 
 use crate::project::ProjectedTraj;
 
@@ -43,54 +42,6 @@ pub fn dtw_projected(a: &ProjectedTraj, b: &ProjectedTraj) -> f64 {
             *out = v;
             diag = up;
             left = v;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m]
-}
-
-/// Trig-free DTW in meters over a Sakoe–Chiba band: cells with
-/// `|i − j| > w` are excluded, where `w = max(band, ||A| − |B||)`
-/// (widening to the length difference keeps an alignment path
-/// feasible).
-///
-/// Empty inputs: `0` if both are empty, `+∞` if exactly one is.
-pub fn dtw_projected_banded(a: &ProjectedTraj, b: &ProjectedTraj, band: usize) -> f64 {
-    let (n, m) = (a.len(), b.len());
-    match (n, m) {
-        (0, 0) => return 0.0,
-        (0, _) | (_, 0) => return f64::INFINITY,
-        _ => {}
-    }
-    let w = band.max(n.abs_diff(m));
-    let (bx, by) = (b.xs(), b.ys());
-    let mut prev = vec![f64::INFINITY; m + 1];
-    let mut curr = vec![f64::INFINITY; m + 1];
-    prev[0] = 0.0;
-    for i in 1..=n {
-        let lo = i.saturating_sub(w).max(1);
-        let hi = (i + w).min(m);
-        curr[lo - 1] = f64::INFINITY;
-        let (ax, ay) = (a.xs()[i - 1], a.ys()[i - 1]);
-        // Same register-carried `left`/`diag` scheme as [`dtw_projected`],
-        // over the banded window only.
-        let mut left = f64::INFINITY;
-        let mut diag = prev[lo - 1];
-        for ((out, (&bxj, &byj)), &up) in curr[lo..=hi]
-            .iter_mut()
-            .zip(bx[lo - 1..hi].iter().zip(&by[lo - 1..hi]))
-            .zip(&prev[lo..=hi])
-        {
-            let dx = ax - bxj;
-            let dy = ay - byj;
-            let cost = dx.mul_add(dx, dy * dy).sqrt();
-            let v = cost + up.min(diag).min(left);
-            *out = v;
-            diag = up;
-            left = v;
-        }
-        if hi < m {
-            curr[hi + 1] = f64::INFINITY;
         }
         std::mem::swap(&mut prev, &mut curr);
     }
@@ -184,34 +135,11 @@ mod tests {
     }
 
     #[test]
-    fn wide_band_equals_unbanded() {
-        let a = traj(&[(30.0, 120.0), (30.01, 120.0), (30.02, 120.0), (30.03, 120.0)]);
-        let b = traj(&[(30.0, 120.01), (30.02, 120.01)]);
-        let (pa, pb) = project_pair(&a, &b);
-        assert_eq!(dtw_projected_banded(&pa, &pb, 10), dtw_projected(&pa, &pb));
-    }
-
-    #[test]
-    fn narrower_band_never_decreases_distance() {
-        let a = traj(&[(30.0, 120.0), (30.01, 120.01), (30.0, 120.02), (30.02, 120.03)]);
-        let b = traj(&[(30.02, 120.0), (30.0, 120.01), (30.01, 120.02)]);
-        let (pa, pb) = project_pair(&a, &b);
-        let mut last = 0.0f64;
-        for band in (0..=4).rev() {
-            let d = dtw_projected_banded(&pa, &pb, band);
-            assert!(d + 1e-9 >= last, "band {band}: {d} < {last}");
-            last = d;
-        }
-    }
-
-    #[test]
     fn projected_empty_conventions() {
         let e = traj(&[]);
         let t = traj(&[(30.0, 120.0)]);
         let (pe, pt) = project_pair(&e, &t);
         assert_eq!(dtw_projected(&pe, &pe), 0.0);
         assert!(dtw_projected(&pe, &pt).is_infinite());
-        assert!(dtw_projected_banded(&pt, &pe, 3).is_infinite());
-        assert_eq!(dtw_projected_banded(&pe, &pe, 1), 0.0);
     }
 }

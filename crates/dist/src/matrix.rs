@@ -205,7 +205,7 @@ mod tests {
             })
             .collect();
         let (_, projected) = ProjectedTraj::project_all(&ts);
-        for metric in [Metric::Dtw, Metric::Hausdorff, Metric::DtwBanded { band: 2 }] {
+        for metric in [Metric::Dtw, Metric::Hausdorff] {
             let m = DistanceMatrix::compute(&ts, &metric);
             for i in 0..ts.len() {
                 for j in 0..ts.len() {

@@ -20,14 +20,6 @@ pub enum Metric {
     },
     /// Dynamic Time Warping: summed alignment cost in meters.
     Dtw,
-    /// DTW restricted to a Sakoe–Chiba band of half-width `band` cells
-    /// (widened to the length difference when necessary; see
-    /// [`crate::dtw::dtw_projected_banded`]). Opt-in accelerator for the
-    /// scalability sweep: O(L·band) per pair instead of O(L²).
-    DtwBanded {
-        /// Band half-width in cells.
-        band: usize,
-    },
     /// Symmetric Hausdorff distance (meters).
     Hausdorff,
 }
@@ -39,7 +31,6 @@ impl Metric {
             Metric::Edr { .. } => "EDR",
             Metric::Lcss { .. } => "LCSS",
             Metric::Dtw => "DTW",
-            Metric::DtwBanded { .. } => "DTW-SC",
             Metric::Hausdorff => "Hausdorff",
         }
     }
@@ -57,7 +48,6 @@ impl Metric {
             Metric::Edr { eps_m } => edr::edr_projected(a, b, eps_m),
             Metric::Lcss { eps_m } => lcss::lcss_projected_distance(a, b, eps_m),
             Metric::Dtw => dtw::dtw_projected(a, b),
-            Metric::DtwBanded { band } => dtw::dtw_projected_banded(a, b, band),
             Metric::Hausdorff => hausdorff::hausdorff_projected(a, b),
         }
     }

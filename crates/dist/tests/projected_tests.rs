@@ -44,21 +44,17 @@ fn assert_close(projected: f64, oracle: f64, what: &str) {
 // (n+1)×(m+1) tables, per-cell `Projector::distance_m` (anchored trig),
 // plain `<=` threshold on the un-squared distance.
 
-fn naive_dtw(a: &Trajectory, b: &Trajectory, p: &Projector, band: Option<usize>) -> f64 {
+fn naive_dtw(a: &Trajectory, b: &Trajectory, p: &Projector) -> f64 {
     let (n, m) = (a.len(), b.len());
     match (n, m) {
         (0, 0) => return 0.0,
         (0, _) | (_, 0) => return f64::INFINITY,
         _ => {}
     }
-    let w = band.map_or(n.max(m), |bw| bw.max(n.abs_diff(m)));
     let mut table = vec![vec![f64::INFINITY; m + 1]; n + 1];
     table[0][0] = 0.0;
     for i in 1..=n {
         for j in 1..=m {
-            if i.abs_diff(j) > w {
-                continue;
-            }
             let cost = p.distance_m(&a.points[i - 1], &b.points[j - 1]);
             let best = table[i - 1][j].min(table[i][j - 1]).min(table[i - 1][j - 1]);
             table[i][j] = cost + best;
@@ -127,21 +123,7 @@ proptest! {
     #[test]
     fn projected_dtw_matches_anchored_oracle(a in trajectory(), b in trajectory()) {
         let (p, pa, pb) = project_pair(&a, &b);
-        assert_close(dtw::dtw_projected(&pa, &pb), naive_dtw(&a, &b, &p, None), "dtw");
-    }
-
-    #[test]
-    fn projected_banded_dtw_matches_anchored_oracle(
-        a in trajectory(),
-        b in trajectory(),
-        band in 0usize..6,
-    ) {
-        let (p, pa, pb) = project_pair(&a, &b);
-        assert_close(
-            dtw::dtw_projected_banded(&pa, &pb, band),
-            naive_dtw(&a, &b, &p, Some(band)),
-            "banded dtw",
-        );
+        assert_close(dtw::dtw_projected(&pa, &pb), naive_dtw(&a, &b, &p), "dtw");
     }
 
     #[test]
@@ -180,7 +162,6 @@ proptest! {
             Metric::Edr { eps_m: EPS_M },
             Metric::Lcss { eps_m: EPS_M },
             Metric::Dtw,
-            Metric::DtwBanded { band: 3 },
             Metric::Hausdorff,
         ] {
             let d = metric.distance_projected(&pa, &pb);

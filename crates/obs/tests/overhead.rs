@@ -11,11 +11,14 @@
 //! Each run is timed in this thread's CPU time, which stops while the
 //! scheduler runs other work. Contention that slows the thread while it
 //! runs (a busy sibling core, a shared cache) still moves single runs by
-//! several percent, and it comes and goes over seconds. So the two loops
-//! run back to back in pairs, alternating which goes first, and the
-//! verdict is the median over pairs of the instrumented/baseline ratio:
-//! both halves of a pair see the same machine, and a pair caught by a
-//! load change is an outlier the median ignores.
+//! several percent, and it comes and goes. So the two loops run back to
+//! back in pairs, alternating which goes first, and the verdict is the
+//! median over pairs of the instrumented/baseline ratio: both halves of
+//! a pair see the same machine, and a pair caught by a load change is an
+//! outlier the median ignores. The runs are short (about 1.5 ms in a
+//! debug build) and the pairs many, so a pair rarely straddles a load
+//! change and the median sits within a fraction of a percent of the true
+//! ratio even on a busy host.
 
 use std::hint::black_box;
 use traj_obs::{Counter, Recorder};
@@ -51,7 +54,7 @@ fn batch_work(x: &mut [f32; 1024], scale: f32) -> f32 {
     acc
 }
 
-const BATCHES: usize = 8_192;
+const BATCHES: usize = 128;
 const BATCHES_PER_EPOCH: usize = 64;
 
 fn run_uninstrumented() -> f64 {
@@ -101,7 +104,7 @@ fn noop_sink_overhead_is_within_two_percent() {
 
     // Paired rounds, alternating which loop runs first so a steady
     // drift within a pair cancels across pairs.
-    const PAIRS: usize = 32;
+    const PAIRS: usize = 1_024;
     let mut ratios: Vec<f64> = (0..PAIRS)
         .map(|pair| {
             let (base, instr) = if pair % 2 == 0 {

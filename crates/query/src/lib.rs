@@ -13,28 +13,23 @@
 //! - [`QueryEngine::nearest_centroids`] — per-trajectory centroid top-k
 //!   by squared distance in representation space.
 //!
-//! Requests are tokenized, length-bucketed into micro-batches (so a
-//! batch pays GRU steps for its longest member only), and fanned across
-//! the rayon worker pool; a request of at most 16 micro-batches runs
-//! inline on the calling thread, since the pool's scheduling chunk is 16
-//! items. Each worker thread keeps its own [`Scratch`] buffer pool, so
-//! steady-state queries allocate nothing beyond the output tensor. The forward is the
-//! tape-free eval path, bit-identical to the training-path forward;
-//! results are byte-for-byte independent of batch size and thread count.
-//!
-//! Telemetry: the [`QUERY_TRAJS`] / [`QUERY_BATCHES`] counters accumulate
-//! totals, and when a global `traj-obs` recorder is installed each call
-//! records a per-micro-batch latency histogram under `query.batch_ms`.
+//! Requests are tokenized and handed to
+//! [`FrozenEncoder::embed_sequences`] with the engine's micro-batch size:
+//! the same batched eval forward that `fit`'s clustering passes and the
+//! CLI run. It length-buckets the request into micro-batches (so a batch
+//! pays GRU steps for its longest member only) and fans them across the
+//! rayon worker pool, each worker reusing its own buffer pool; results
+//! are byte-for-byte independent of batch size and thread count. The
+//! engine adds the serving telemetry: the [`QUERY_TRAJS`] /
+//! [`QUERY_BATCHES`] counters accumulate totals, and when a global
+//! `traj-obs` recorder is installed each call records a per-micro-batch
+//! latency histogram under `query.batch_ms`.
 
 #![warn(missing_docs)]
 
-use e2dtc::batcher::length_buckets;
 use e2dtc::FrozenEncoder;
-use rayon::prelude::*;
-use std::cell::RefCell;
 use std::sync::Arc;
 use traj_data::Trajectory;
-use traj_nn::infer::Scratch;
 use traj_nn::Tensor;
 use traj_obs::Counter;
 
@@ -47,12 +42,6 @@ pub static QUERY_BATCHES: Counter = Counter::new("query.batches");
 /// `traj_obs::Recorder::counters`).
 pub fn counters() -> [&'static Counter; 2] {
     [&QUERY_TRAJS, &QUERY_BATCHES]
-}
-
-thread_local! {
-    /// Per-thread buffer pool: every worker reuses its own scratch
-    /// tensors across micro-batches and across calls.
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 
 /// Tuning knobs for a [`QueryEngine`].
@@ -96,53 +85,13 @@ impl QueryEngine {
     pub fn embed_batch(&self, trajs: &[Trajectory]) -> Tensor {
         let sequences: Vec<Vec<usize>> =
             trajs.iter().map(|t| self.encoder.tokenize(t)).collect();
-        self.embed_tokenized(&sequences)
-    }
-
-    /// Embeds already-tokenized sequences (the batch core of every other
-    /// entry point). Length-buckets into micro-batches, encodes them
-    /// across the worker pool and scatters rows back to input order.
-    pub fn embed_tokenized(&self, sequences: &[Vec<usize>]) -> Tensor {
-        let n = sequences.len();
-        let d = self.encoder.repr_dim();
-        let mut out = Tensor::zeros(n, d);
-        if n == 0 {
-            return out;
-        }
-        let lens: Vec<usize> = sequences.iter().map(Vec::len).collect();
-        let batches = length_buckets(&lens, self.cfg.batch_size);
-        QUERY_TRAJS.add(n as u64);
-        QUERY_BATCHES.add(batches.len() as u64);
+        let batch_size = self.cfg.batch_size;
+        QUERY_TRAJS.add(trajs.len() as u64);
+        // `length_buckets` cuts one micro-batch per `batch_size` rows.
+        QUERY_BATCHES.add(trajs.len().div_ceil(batch_size.max(1)) as u64);
         let recorder = traj_obs::global();
-        let timed = recorder.enabled();
-
-        // Each task copies its rows out and returns the scratch tensor to
-        // its own thread's pool, keeping every pool at its allocation
-        // fixed point regardless of which thread ran which batch.
-        let encode = |batch: &Vec<usize>| -> (Vec<f32>, f64) {
-            let t0 = timed.then(std::time::Instant::now);
-            let refs: Vec<&[usize]> =
-                batch.iter().map(|&i| sequences[i].as_slice()).collect();
-            let data = SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                let repr = self.encoder.encode_sequences(&refs, scratch);
-                let data = repr.data().to_vec();
-                scratch.put(repr);
-                data
-            });
-            (data, t0.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3))
-        };
-        let results: Vec<(Vec<f32>, f64)> = batches.par_iter().map(encode).collect();
-
-        let mut hist = timed.then(traj_obs::Histogram::new);
-        for (batch, (data, ms)) in batches.iter().zip(results) {
-            for (row, &i) in batch.iter().enumerate() {
-                out.row_mut(i).copy_from_slice(&data[row * d..(row + 1) * d]);
-            }
-            if let Some(h) = hist.as_mut() {
-                h.record(ms);
-            }
-        }
+        let mut hist = (recorder.enabled() && !trajs.is_empty()).then(traj_obs::Histogram::new);
+        let out = self.encoder.embed_sequences(&sequences, batch_size, hist.as_mut());
         if let Some(h) = &hist {
             recorder.histogram("query.batch_ms", h);
         }

@@ -42,12 +42,14 @@
 #            k-means++ vs random init)
 #   serial ≡ parallel — train and embed once with RAYON_NUM_THREADS=1
 #            and once on the default pool; the two model.json files and
-#            the two embed outputs must be byte-identical. Twice: on a
-#            400-trajectory city with the fast preset (whose products all
-#            stay under the parallel matmul threshold, so this pins that
-#            thread count changes nothing else), and on the smoke city
-#            with the paper preset, whose GRU and decoder products are
-#            above the threshold and run on the pool
+#            the two embed outputs must be byte-identical. Twice: on an
+#            800-trajectory city with the fast preset, which must keep
+#            more than 16 × 32 trajectories so the batched eval forward
+#            splits its 32-trajectory micro-batches across the pool in
+#            fit's clustering passes and in embed (its matmuls all stay
+#            under the parallel threshold), and on the smoke city with
+#            the paper preset, whose GRU and decoder products are above
+#            the threshold and run on the pool
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -161,8 +163,12 @@ serial_vs_parallel() {
         exit 1
     fi
 }
-./target/release/e2dtc generate --kind hangzhou --n 400 --out "$smoke_dir/city400.json" --quiet
-serial_vs_parallel "$smoke_dir/city400.json" fast city400
+./target/release/e2dtc generate --kind hangzhou --n 800 --out "$smoke_dir/city800.json" --quiet
+if ! jq -e '.dataset.trajectories | length > 16 * 32' "$smoke_dir/city800.json" >/dev/null; then
+    echo "tier1: the serial ≡ parallel city is too small for the eval forward to fan out" >&2
+    exit 1
+fi
+serial_vs_parallel "$smoke_dir/city800.json" fast city800
 serial_vs_parallel "$smoke_dir/data.json" paper paper
 
 echo "tier1: OK"
