@@ -1,6 +1,6 @@
 //! Criterion benches for the neural substrate: GRU forward/backward, the
-//! decoder's dominant vocabulary projection and the whole decoder output
-//! layer (projection plus the Eq. 8 loss), plus the raw matmul
+//! decoder output layer (vocabulary projection plus the Eq. 8 loss, one
+//! tape node over the live rows), plus the raw matmul
 //! kernels (serial vs tiled-parallel) and a per-gate "unfused" GRU
 //! reference reproducing the pre-fusion six-matmul recurrence.
 
@@ -53,37 +53,27 @@ fn bench_gru_bptt(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_vocab_projection(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(2);
-    let mut store = ParamStore::new();
-    let proj = Linear::new(&mut store, "proj", 48, 800, &mut rng);
-    let h = Tensor::full(32, 48, 0.2);
-    c.bench_function("decoder_projection_b32_h48_v800", |b| {
-        b.iter(|| {
-            let mut tape = Tape::new();
-            let hv = tape.constant(h.clone());
-            black_box(proj.forward(&mut tape, &store, hv))
-        })
-    });
-}
-
-/// The whole decoder output layer of one step: the vocabulary projection
-/// plus the Eq. 8 spatial softmax NLL, forward and backward.
+/// The whole decoder output layer of one step, one tape node: the
+/// vocabulary projection plus the Eq. 8 spatial softmax NLL on the live
+/// rows of a ragged batch, forward and backward.
 fn bench_decoder_output(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let mut store = ParamStore::new();
     let proj = Linear::new(&mut store, "proj", 48, 800, &mut rng);
     let h = Tensor::full(32, 48, 0.2);
-    // Each row's target spreads its weight over 9 cells, the fast
+    // Four of the 32 sequences have ended, at tile and tail positions.
+    let live: Vec<usize> = (0..32).filter(|r| r % 8 != 7).collect();
+    // Each live row's target spreads its weight over 9 cells, the fast
     // preset's `knn_k`.
-    let targets: Vec<Vec<(usize, f32)>> =
-        (0..32).map(|r| (0..9).map(|j| ((r * 37 + j * 11) % 800, 1.0 / 9.0)).collect()).collect();
+    let targets: Vec<Vec<(usize, f32)>> = live
+        .iter()
+        .map(|&r| (0..9).map(|j| ((r * 37 + j * 11) % 800, 1.0 / 9.0)).collect())
+        .collect();
     c.bench_function("decoder_output_b32_h48_v800", |b| {
         b.iter(|| {
             let mut tape = Tape::new();
             let hv = tape.constant(h.clone());
-            let logits = proj.forward(&mut tape, &store, hv);
-            let loss = tape.weighted_softmax_nll(logits, targets.clone());
+            let loss = proj.softmax_nll(&mut tape, &store, hv, Some(&live), targets.clone());
             tape.backward(loss, &mut store);
             store.zero_grads();
         })
@@ -235,7 +225,6 @@ criterion_group!(
     bench_gru_forward,
     bench_gru_bptt,
     bench_gru_bptt_unfused_reference,
-    bench_vocab_projection,
     bench_decoder_output,
     bench_matmul_kernels
 );

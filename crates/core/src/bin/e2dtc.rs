@@ -270,12 +270,10 @@ fn train(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(path) => {
             let model = E2dtc::resume(path).map_err(|e| e.to_string())?;
             let st = model.pending_training().expect("resume guarantees a cursor");
-            // `fit` continues the cursor's assignments, which must cover
-            // this dataset.
-            if let Some(prev) = st.prev_assign.as_ref().filter(|p| p.len() != data.len()) {
+            // A run continues only on the dataset it was written on.
+            if let Some(n) = st.trajectories.filter(|&n| n != data.len()) {
                 return Err(format!(
-                    "{path} was written training on {} trajectories, but {data_path} holds {}",
-                    prev.len(),
+                    "{path} was written training on {n} trajectories, but {data_path} holds {}",
                     data.len()
                 ));
             }

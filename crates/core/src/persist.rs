@@ -475,11 +475,14 @@ impl LoadedParts {
 
     /// The trainable model with its cursor, for [`E2dtc::resume`].
     fn into_trainer(self) -> Result<E2dtc, PersistError> {
-        let (Some(st), Some(opt), Some(weights), true) =
+        let (Some(mut st), Some(opt), Some(weights), true) =
             (self.training, self.opt, self.weights, self.decoder)
         else {
             return Err(PersistError::NotATrainingCheckpoint);
         };
+        // A cursor written before the count was recorded carries it only
+        // in its self-training assignments.
+        st.trajectories = st.trajectories.or(st.prev_assign.as_ref().map(Vec::len));
         if st.rng.len() != 4 {
             return Err(PersistError::BadRngState(st.rng.len()));
         }
@@ -655,6 +658,7 @@ mod tests {
             phase: Phase::SelfTrain,
             next_epoch: 1,
             epochs_done: 4,
+            trajectories: Some(3),
             history: Vec::new(),
             prev_assign: Some(vec![0, 1, 2]),
             rng: vec![1, 2, 3, 4],
@@ -853,9 +857,32 @@ mod tests {
         assert_eq!(st.phase, Phase::SelfTrain);
         assert_eq!(st.next_epoch, 1);
         assert_eq!(st.epochs_done, 4);
+        assert_eq!(st.trajectories, Some(3));
         assert_eq!(st.prev_assign.as_deref(), Some(&[0usize, 1, 2][..]));
         assert_eq!(st.rng, vec![1, 2, 3, 4]);
         assert!(resumed.centroids.is_some());
+    }
+
+    #[test]
+    fn cursors_without_a_trajectory_count_still_resume() {
+        // Checkpoints written before the count was recorded lack the key:
+        // a self-training cursor takes it from `prev_assign`, a
+        // pre-training one has none.
+        let (mut model, _) = trained_model();
+        let dir = test_dir("legacy_cursor");
+        let path = dir.join(checkpoint_file_name(4));
+        for (prev_assign, want) in [(Some(vec![0, 1, 2]), Some(3)), (None, None)] {
+            let st = TrainingState { trajectories: None, prev_assign, ..cursor() };
+            model.save_checkpoint(&path, &st).expect("save_checkpoint");
+            let bytes = std::fs::read(&path).expect("read");
+            let (_, payload) = verify_and_strip_header(&bytes).expect("valid header");
+            let payload = std::str::from_utf8(payload).expect("utf8");
+            let key = "\"trajectories\":null,";
+            assert!(payload.contains(key), "no null count in the cursor");
+            write_framed(&path, FORMAT_VERSION, &payload.replace(key, ""));
+            let resumed = E2dtc::resume(&path).expect("a cursor without the count resumes");
+            assert_eq!(resumed.pending.as_ref().expect("cursor").trajectories, want);
+        }
     }
 
     #[test]

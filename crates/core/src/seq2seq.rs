@@ -10,7 +10,8 @@
 //! steps: each step computes only the rows whose sequence is still
 //! running (`live_rows`), and an ended row's hidden state is carried
 //! unchanged, so `v_T` is exactly the hidden state at each sequence's own
-//! final token.
+//! final token. The decoder's output layer (projection and Eq. 8 loss)
+//! scores only those rows too, in one tape node per step.
 
 use crate::spatial_loss::WeightTable;
 use crate::vocab::{BOS, UNK};
@@ -152,14 +153,13 @@ impl Seq2Seq {
             let x = self.encoder.embedding.forward(tape, store, &ids);
             let live = live_rows(targets, t, &mut live_buf);
             let h = self.decoder.step(tape, store, x, &mut state, live);
-            let logits = self.projection.forward(tape, store, h);
+            // One target per live row, in row order, as `live` lists them.
             let rows: Vec<Vec<(usize, f32)>> = targets
                 .iter()
-                .map(|s| {
-                    s.get(t).map_or_else(Vec::new, |&tok| weights.target(tok).to_vec())
-                })
+                .filter_map(|s| s.get(t))
+                .map(|&tok| weights.target(tok).to_vec())
                 .collect();
-            let step_loss = tape.weighted_softmax_nll(logits, rows);
+            let step_loss = self.projection.softmax_nll(tape, store, h, live, rows);
             total = Some(match total {
                 Some(acc) => tape.add(acc, step_loss),
                 None => step_loss,
@@ -307,6 +307,29 @@ mod tests {
         let loss = model.reconstruction_loss(&mut tape, &store, &enc, &seqs, &wt);
         let v = tape.value(loss).get(0, 0);
         assert!(v.is_finite() && v > 0.0, "loss = {v}");
+    }
+
+    #[test]
+    fn reconstruction_loss_records_one_output_node_per_step() {
+        let wt = uniform_weights(8);
+        let layers = 2;
+        let (store, model) = tiny_model(wt.len(), 3);
+        let mut tape = Tape::new();
+        // Ragged: two of the three rows end before the last step.
+        let seqs: Vec<&[usize]> = vec![&[2, 3, 4, 5], &[3, 4], &[5]];
+        let enc = model.encoder.encode(&mut tape, &store, &seqs);
+        let before = tape.len();
+        let _ = model.reconstruction_loss(&mut tape, &store, &enc, &seqs, &wt);
+        let steps = 4;
+        // Parameter nodes, registered once per tape: the decoder's four
+        // per layer and the projection's weight and bias (the token table
+        // is already on the tape from the encoder).
+        let params = 4 * layers + 2;
+        // Per step: the input gather, one GRU node per layer and one
+        // output node; then the additions summing the step losses and the
+        // final scale.
+        let expected = params + steps * (1 + layers + 1) + (steps - 1) + 1;
+        assert_eq!(tape.len() - before, expected);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! `V`) is the paper's own cost reduction.
 //!
 //! This module precomputes, for every vocabulary cell, its sparse weight
-//! distribution — directly consumable by
-//! `Tape::weighted_softmax_nll`.
+//! distribution. `Seq2Seq::reconstruction_loss` hands the rows of each
+//! decoder step's live targets to `Linear::softmax_nll`, which runs the
+//! vocabulary projection, the softmax and this loss as one tape node over
+//! the live rows.
 
 use crate::cell_embedding::row_distance;
 use crate::vocab::{Vocab, SPECIALS};

@@ -150,6 +150,12 @@ pub struct TrainingState {
     pub next_epoch: usize,
     /// Completed epochs across both phases (names checkpoint files).
     pub epochs_done: usize,
+    /// Trajectories in the dataset the run trains on: a run resumes only
+    /// on a dataset of this size. `None` in a cursor written before the
+    /// count was recorded; loading such a cursor takes the count from
+    /// `prev_assign` when it has one.
+    #[serde(default)]
+    pub trajectories: Option<usize>,
     /// Accumulated per-epoch history.
     pub history: Vec<EpochRecord>,
     /// Previous self-training assignments (stop-rule state).
@@ -159,11 +165,12 @@ pub struct TrainingState {
 }
 
 impl TrainingState {
-    pub(crate) fn fresh() -> Self {
+    pub(crate) fn fresh(trajectories: usize) -> Self {
         Self {
             phase: Phase::Pretrain,
             next_epoch: 0,
             epochs_done: 0,
+            trajectories: Some(trajectories),
             history: Vec::new(),
             prev_assign: None,
             rng: Vec::new(),
@@ -251,10 +258,9 @@ impl E2dtc {
     /// starting over.
     ///
     /// # Panics
-    /// Panics when resuming a self-training cursor whose
-    /// [`TrainingState::prev_assign`] does not hold one label per
-    /// trajectory of `dataset`: a run resumes on the dataset it was
-    /// checkpointed on.
+    /// Panics when resuming a cursor whose
+    /// [`TrainingState::trajectories`] differs from the size of `dataset`:
+    /// a run resumes on the dataset it was checkpointed on.
     pub fn fit(&mut self, dataset: &Dataset) -> FitResult {
         self.fit_with_callback(dataset, &mut |_, _, _| {})
     }
@@ -268,12 +274,18 @@ impl E2dtc {
         self.sequences = self.dataset_sequences(dataset);
         let mut st = match self.pending.take() {
             Some(s) => {
+                assert!(
+                    s.trajectories.is_none_or(|n| n == dataset.len()),
+                    "resuming a run written on {:?} trajectories on {}",
+                    s.trajectories,
+                    dataset.len()
+                );
                 // Rejoin the interrupted run's RNG stream exactly where
                 // the checkpoint captured it.
                 self.rng = StdRng::restore(rng_state_from(&s.rng));
                 s
             }
-            None => TrainingState::fresh(),
+            None => TrainingState::fresh(dataset.len()),
         };
         let mut run = Run::new(GUARD_PATIENCE);
         let fit_span = self.recorder.span("fit");

@@ -141,25 +141,37 @@ fn resume_on_another_dataset_is_an_error_not_a_panic() {
 
     let run = Command::new(bin())
         .args(["train", "--data", &path(&small), "--out", &path(&dir.join("first.json"))])
-        .args(["--checkpoint-dir", &path(&ckpts), "--checkpoint-keep", "1", "--quiet"])
+        .args(["--checkpoint-dir", &path(&ckpts), "--checkpoint-keep", "0", "--quiet"])
         .output()
         .expect("launch train");
     assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
-    // The newest checkpoint is a self-training one, whose cursor holds
+    let read = |p: &Path| std::fs::read_to_string(p).expect("read checkpoint");
+    // The first checkpoint is a pre-training one, whose cursor has no
+    // assignments; the newest is a self-training one, whose cursor holds
     // one label per trajectory of the small city.
-    let newest = std::fs::read_dir(&ckpts).expect("checkpoints").next().expect("one checkpoint");
-    let saved = std::fs::read_to_string(newest.expect("entry").path()).expect("read checkpoint");
-    assert!(saved.contains("\"prev_assign\":["), "no self-training cursor in the checkpoint");
+    let first = ckpts.join("ckpt-000001.json");
+    assert!(read(&first).contains("\"prev_assign\":null"), "ckpt-000001 is not pre-training");
+    let mut names: Vec<_> = std::fs::read_dir(&ckpts)
+        .expect("checkpoints")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    names.sort();
+    let newest = names.last().expect("checkpoints written");
+    assert!(read(newest).contains("\"prev_assign\":["), "newest checkpoint is not self-training");
 
-    let run = Command::new(bin())
-        .args(["train", "--data", &path(&large), "--out", &path(&model)])
-        .args(["--resume", &path(&ckpts), "--quiet"])
-        .output()
-        .expect("launch train");
-    let stderr = String::from_utf8_lossy(&run.stderr);
-    assert_eq!(run.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("error:") && stderr.contains("trajectories"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(!model.exists(), "a rejected resume must not write a model");
+    // Resuming the directory continues the newest (self-training)
+    // checkpoint; the file path picks the pre-training one.
+    for resume in [&ckpts, &first] {
+        let run = Command::new(bin())
+            .args(["train", "--data", &path(&large), "--out", &path(&model)])
+            .args(["--resume", &path(resume), "--quiet"])
+            .output()
+            .expect("launch train");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{}: {stderr}", resume.display());
+        assert!(stderr.contains("error:") && stderr.contains("trajectories"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(!model.exists(), "a rejected resume of {} wrote a model", resume.display());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

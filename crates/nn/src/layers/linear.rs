@@ -1,11 +1,12 @@
-//! Fully-connected layer.
+//! Fully-connected layer, used as the decoder's vocabulary projection.
 
 use crate::init::Init;
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use rand::Rng;
 
-/// `y = x @ W + b` with `W: (in, out)`, `b: (1, out)`.
+/// `y = x @ W + b` with `W: (in, out)`, `b: (1, out)`, scored by a softmax
+/// NLL in the same tape node ([`Linear::softmax_nll`]).
 #[derive(Clone, Copy, Debug)]
 pub struct Linear {
     weight: ParamId,
@@ -27,17 +28,32 @@ impl Linear {
         Self { weight, bias }
     }
 
-    /// Forward pass for a `(batch, in)` input, producing `(batch, out)`.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
+    /// The decoder output layer of one step as one tape node: the
+    /// spatial-proximity-aware softmax NLL (paper Eq. 8) of
+    /// `p = softmax(h W + b)` on the `live` rows of the `(batch, in)` input
+    /// `h` (all rows when `None`). `targets` holds one sparse
+    /// `(column, weight)` distribution `w` per live row, in `live` order:
+    /// the kNN cell weights of that row's ground-truth cell. Returns the
+    /// scalar mean over the live rows of `−Σ_j w_j · log p_j`; rows outside
+    /// `live` get no gradient. With each `w` summing to 1 the gradient
+    /// w.r.t. the logits is `p − w`, standard cross-entropy when `w` is
+    /// one-hot (the α → 0 limit in the paper).
+    pub fn softmax_nll(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        h: Var,
+        live: Option<&[usize]>,
+        targets: Vec<Vec<(usize, f32)>>,
+    ) -> Var {
         debug_assert_eq!(
-            tape.value(x).cols(),
+            tape.value(h).cols(),
             store.get(self.weight).rows(),
             "linear input width mismatch"
         );
         let w = tape.param(store, self.weight);
-        let y = tape.matmul(x, w);
         let b = tape.param(store, self.bias);
-        tape.add_row_broadcast(y, b)
+        tape.projected_softmax_nll(h, w, b, live, targets)
     }
 
     /// Weight parameter handle.
@@ -68,8 +84,12 @@ mod tests {
             Tensor::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
         *store.get_mut(layer.bias()) = Tensor::row_vector(vec![10.0, 20.0]);
         let mut tape = Tape::new();
-        let x = tape.constant(Tensor::from_rows(&[vec![1.0, 2.0, 3.0]]));
-        let y = layer.forward(&mut tape, &store, x);
-        assert_eq!(tape.value(y).data(), &[14.0, 25.0]);
+        let x = tape.constant(Tensor::from_rows(&[vec![9.0, 9.0, 9.0], vec![1.0, 2.0, 3.0]]));
+        // Only row 1 is live: its logits are [14, 25], so the NLL of
+        // column 0 is 11 + ln(1 + e^-11).
+        let loss = layer.softmax_nll(&mut tape, &store, x, Some(&[1]), vec![vec![(0, 1.0)]]);
+        assert_eq!(tape.value(loss).shape(), (1, 1));
+        let want = 11.0 + (-11.0f32).exp().ln_1p();
+        assert!((tape.value(loss).get(0, 0) - want).abs() < 1e-5, "{:?}", tape.value(loss));
     }
 }

@@ -6,8 +6,9 @@
 //! 2-D [`Tensor`], a tape-based reverse-mode autodiff engine
 //! ([`tape::Tape`]), the layers the paper needs ([`layers::Embedding`],
 //! [`layers::Linear`], multi-layer [`layers::Gru`]), the three specialized
-//! loss ops (spatial-proximity-aware softmax NLL — Eq. 8; DEC KL clustering
-//! loss — Eqs. 9–11; triplet margin loss — Eq. 13), and the paper's exact
+//! loss ops (spatial-proximity-aware softmax NLL — Eq. 8, one node with the
+//! vocabulary projection; DEC KL clustering loss — Eqs. 9–11; triplet
+//! margin loss — Eq. 13), and the paper's exact
 //! optimizer recipe ([`optim::Adam`] with lr 1e-4 and global-norm-5
 //! clipping).
 //!
@@ -21,21 +22,23 @@
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let mut store = ParamStore::new();
-//! let layer = Linear::new(&mut store, "fc", 2, 1, &mut rng);
+//! let layer = Linear::new(&mut store, "fc", 2, 2, &mut rng);
 //! let mut opt = Adam::new(0.05);
 //!
-//! // Fit y = x0 + x1 on a couple of points.
+//! // Learn to pick the larger coordinate: a one-hot softmax NLL (Eq. 8
+//! // with α → 0) over the layer's two outputs.
+//! let x = Tensor::from_rows(&[vec![1.0, 0.2], vec![0.1, 0.9]]);
+//! let targets = vec![vec![(0, 1.0)], vec![(1, 1.0)]];
+//! let mut last = f32::INFINITY;
 //! for _ in 0..200 {
 //!     let mut tape = Tape::new();
-//!     let x = tape.constant(Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 1.0]]));
-//!     let target = tape.constant(Tensor::from_rows(&[vec![3.0], vec![4.0]]));
-//!     let pred = layer.forward(&mut tape, &store, x);
-//!     let err = tape.sub(pred, target);
-//!     let sq = tape.hadamard(err, err);
-//!     let loss = tape.mean_all(sq);
+//!     let xv = tape.constant(x.clone());
+//!     let loss = layer.softmax_nll(&mut tape, &store, xv, None, targets.clone());
+//!     last = tape.value(loss).get(0, 0);
 //!     tape.backward(loss, &mut store);
 //!     opt.step(&mut store);
 //! }
+//! assert!(last < 0.1, "loss {last}");
 //! ```
 
 #![warn(missing_docs)]

@@ -11,16 +11,22 @@
 //! is a single exhaustive `match` — easy to audit and to test op-by-op with
 //! finite differences (see `crate::gradcheck`).
 //!
-//! One op is fused: a GRU cell step is one node whose value comes from the
-//! kernel the tape-free eval forward runs and whose backward lives beside
-//! that kernel in `layers::gru`. In a ragged batch the node computes only
-//! its live rows, forward and backward; its value and gradients are
-//! full-batch tensors, with ended rows passing `h` and its gradient
-//! through unchanged.
+//! Two ops are fused, and in a ragged batch each computes only its live
+//! rows, forward and backward:
+//!
+//! - A GRU cell step is one node whose value comes from the kernel the
+//!   tape-free eval forward runs and whose backward lives beside that
+//!   kernel in `layers::gru`. Its value and gradients are full-batch
+//!   tensors, with ended rows passing `h` and its gradient through
+//!   unchanged.
+//! - The decoder output layer of one step (vocabulary projection, bias,
+//!   softmax and the Eq. 8 loss) is one node that keeps only the live
+//!   rows' probabilities. Its gradient reaches `h` only on the live rows,
+//!   with the bits the unfused ops would give over the full batch.
 
 use crate::layers::{gru, GruCell};
 use crate::params::{ParamId, ParamStore};
-use crate::tensor::Tensor;
+use crate::tensor::{softmax_in_place, Tensor};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -56,12 +62,19 @@ enum Op {
     MeanAll(Var),
     /// sum over all elements, producing `(1, 1)`
     SumAll(Var),
-    /// Spatial-proximity-aware softmax NLL (paper Eq. 8). For each row of
-    /// `logits`, `targets[row]` is a sparse distribution over columns
-    /// (the kNN cell weights `w`). Loss = mean over rows of
-    /// `-Σ_j w_j · log softmax(logits)_j`. `probs` caches the forward
-    /// softmax for the backward pass.
-    WeightedSoftmaxNll { logits: Var, targets: Vec<Vec<(usize, f32)>>, probs: Tensor },
+    /// The decoder output layer of one step (see
+    /// [`Tape::projected_softmax_nll`]): the spatial-proximity-aware
+    /// softmax NLL (paper Eq. 8) of `h W + b` on the `live` rows of `h`
+    /// (all rows when `None`), with one sparse target distribution per
+    /// live row. `probs` caches those rows' softmax.
+    ProjectedSoftmaxNll {
+        h: Var,
+        w: Var,
+        b: Var,
+        live: Option<Vec<usize>>,
+        targets: Vec<Vec<(usize, f32)>>,
+        probs: Tensor,
+    },
     /// DEC clustering loss `KL(P ‖ Q)` with Student-t soft assignment
     /// (paper Eqs. 9–11). Differentiable w.r.t. both the embeddings `v`
     /// (n × d) and the centroids `c` (k × d). `q` caches the forward
@@ -223,37 +236,38 @@ impl Tape {
         self.push(value, Op::SumAll(a))
     }
 
-    /// Spatial-proximity-aware softmax NLL (paper Eq. 8).
-    ///
-    /// `targets` holds, per row of `logits`, the sparse cell-weight
-    /// distribution `w` over vocabulary columns (the kNN weights of the
-    /// ground-truth cell). Each row's weights should sum to 1; the backward
-    /// pass then reduces to `softmax(logits) − w`, matching standard
-    /// cross-entropy when `w` is one-hot (the α→0 limit in the paper).
-    ///
-    /// Rows with an *empty* target list are padding: they contribute
-    /// neither loss nor gradient, and the mean is taken over active rows
-    /// only.
-    pub fn weighted_softmax_nll(&mut self, logits: Var, targets: Vec<Vec<(usize, f32)>>) -> Var {
-        let l = self.value(logits);
-        assert_eq!(l.rows(), targets.len(), "one target distribution per logit row");
-        let probs = l.softmax_rows();
+    /// The decoder output layer of one step as one node (see
+    /// [`Linear::softmax_nll`](crate::layers::Linear::softmax_nll)): the
+    /// Eq. 8 weighted softmax NLL of `h W + b` over the `live` rows of `h`
+    /// (all rows when `None`), with one target per live row in `live`
+    /// order. Only the live rows' probabilities are kept.
+    pub(crate) fn projected_softmax_nll(
+        &mut self,
+        h: Var,
+        w: Var,
+        b: Var,
+        live: Option<&[usize]>,
+        targets: Vec<Vec<(usize, f32)>>,
+    ) -> Var {
+        let mut probs = live_view(self.value(h), live).matmul(self.value(w));
+        assert_eq!(probs.rows(), targets.len(), "one target distribution per live row");
+        let bias = self.value(b);
+        assert_eq!(bias.shape(), (1, probs.cols()), "bias must be a (1, vocab) row");
         let mut loss = 0.0;
-        let mut active = 0usize;
         for (r, tgt) in targets.iter().enumerate() {
-            if tgt.is_empty() {
-                continue;
+            let row = probs.row_mut(r);
+            for (x, &bv) in row.iter_mut().zip(bias.data()) {
+                *x += bv;
             }
-            active += 1;
-            let p = probs.row(r);
-            for &(j, w) in tgt {
+            softmax_in_place(row);
+            for &(j, wt) in tgt {
                 // Clamp to avoid -inf when a kNN weight lands on a ~0 prob.
-                loss -= w * p[j].max(1e-12).ln();
+                loss -= wt * row[j].max(1e-12).ln();
             }
         }
-        let n = active.max(1) as f32;
-        let value = Tensor::from_vec(1, 1, vec![loss / n]);
-        self.push(value, Op::WeightedSoftmaxNll { logits, targets, probs })
+        let value = Tensor::from_vec(1, 1, vec![loss / targets.len().max(1) as f32]);
+        let live = live.map(<[usize]>::to_vec);
+        self.push(value, Op::ProjectedSoftmaxNll { h, w, b, live, targets, probs })
     }
 
     /// DEC clustering loss `L_c = KL(P ‖ Q)` (paper Eqs. 9–11).
@@ -430,26 +444,19 @@ impl Tape {
                         Tensor::full(src.rows(), src.cols(), g.get(0, 0)),
                     );
                 }
-                Op::WeightedSoftmaxNll { logits, targets, probs } => {
-                    // d loss / d logits = (softmax - w) / n_active for
-                    // active rows, 0 for padding rows.
-                    let active = targets.iter().filter(|t| !t.is_empty()).count();
-                    let gscale = g.get(0, 0) / active.max(1) as f32;
-                    let mut gl = Tensor::zeros(probs.rows(), probs.cols());
+                Op::ProjectedSoftmaxNll { h, w, b, live, targets, probs } => {
+                    // d loss / d logits = (softmax − w) · g / n_live.
+                    let gscale = g.get(0, 0) / targets.len().max(1) as f32;
+                    let mut dlogits = probs.scale(gscale);
                     for (r, tgt) in targets.iter().enumerate() {
-                        if tgt.is_empty() {
-                            continue;
-                        }
-                        let row = gl.row_mut(r);
-                        row.copy_from_slice(probs.row(r));
-                        for x in row.iter_mut() {
-                            *x *= gscale;
-                        }
-                        for &(j, w) in tgt {
-                            row[j] -= w * gscale;
+                        let row = dlogits.row_mut(r);
+                        for &(j, wt) in tgt {
+                            row[j] -= wt * gscale;
                         }
                     }
-                    accumulate(&mut grads, *logits, gl);
+                    accumulate(&mut grads, *b, dlogits.sum_rows());
+                    let (nodes, live) = (&self.nodes, live.as_deref());
+                    matmul_backward(nodes, &mut grads, &mut bt_cache, *h, *w, &dlogits, live);
                 }
                 Op::DecKl { v, c, p, q } => {
                     let (gv, gc) =
@@ -799,13 +806,17 @@ mod tests {
     }
 
     #[test]
-    fn weighted_softmax_nll_reduces_to_cross_entropy_for_one_hot() {
+    fn projected_softmax_nll_reduces_to_cross_entropy_for_one_hot() {
+        // Logits h W + b = [2, 0, -1] on the one live row of two.
         let mut tape = Tape::new();
-        let logits = tape.constant(Tensor::from_rows(&[vec![2.0, 0.0, -1.0]]));
-        let loss = tape.weighted_softmax_nll(logits, vec![vec![(0, 1.0)]]);
+        let h = tape.constant(Tensor::from_rows(&[vec![5.0], vec![1.0]]));
+        let w = tape.constant(Tensor::from_rows(&[vec![2.0, 1.0, -1.0]]));
+        let b = tape.constant(Tensor::row_vector(vec![0.0, -1.0, 0.0]));
+        let loss = tape.projected_softmax_nll(h, w, b, Some(&[1]), vec![vec![(0, 1.0)]]);
         let expected = {
-            let p = Tensor::from_rows(&[vec![2.0, 0.0, -1.0]]).softmax_rows();
-            -p.get(0, 0).ln()
+            let mut p = [2.0, 0.0, -1.0];
+            softmax_in_place(&mut p);
+            -p[0].ln()
         };
         assert!((scalar(tape.value(loss)) - expected).abs() < 1e-5);
     }

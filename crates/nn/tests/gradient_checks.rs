@@ -92,19 +92,24 @@ fn gather_rows_grads() {
 }
 
 #[test]
-fn weighted_softmax_nll_grads() {
+fn projected_softmax_nll_grads() {
+    let mut rng = StdRng::seed_from_u64(11);
     let mut store = ParamStore::new();
-    seeded_param(&mut store, "logits", 3, 6, 11);
-    let ids: Vec<_> = store.ids().collect();
-    // kNN-style sparse targets: a few weighted cells per row, summing to 1.
+    seeded_param(&mut store, "h", 5, 4, 21);
+    let layer = Linear::new(&mut store, "proj", 4, 6, &mut rng);
+    *store.get_mut(layer.bias()) = Init::Uniform(0.8).tensor(1, 6, &mut rng);
+    let h = store.ids().next().expect("h registered first");
+    // Rows 1 and 4 have ended; kNN-style sparse targets for the three
+    // live rows: a few weighted cells per row, summing to 1.
+    let live = [0usize, 2, 3];
     let targets = vec![
         vec![(0, 0.7), (1, 0.2), (2, 0.1)],
         vec![(3, 1.0)],
         vec![(4, 0.5), (5, 0.5)],
     ];
     assert_grads_close(&mut store, EPS, TOL, |tape, store| {
-        let l = tape.param(store, ids[0]);
-        tape.weighted_softmax_nll(l, targets.clone())
+        let hv = tape.param(store, h);
+        layer.softmax_nll(tape, store, hv, Some(&live), targets.clone())
     });
 }
 
@@ -148,13 +153,13 @@ fn triplet_grads() {
 fn linear_layer_grads() {
     let mut rng = StdRng::seed_from_u64(17);
     let mut store = ParamStore::new();
-    let layer = Linear::new(&mut store, "fc", 3, 2, &mut rng);
+    let layer = Linear::new(&mut store, "fc", 3, 4, &mut rng);
+    *store.get_mut(layer.bias()) = Init::Uniform(0.8).tensor(1, 4, &mut rng);
     let x = Tensor::from_rows(&[vec![0.3, -0.2, 0.5], vec![-0.4, 0.8, 0.1]]);
+    let targets = vec![vec![(1, 0.6), (2, 0.4)], vec![(3, 1.0)]];
     assert_grads_close(&mut store, EPS, TOL, move |tape, store| {
         let xv = tape.constant(x.clone());
-        let y = layer.forward(tape, store, xv);
-        let sq = tape.hadamard(y, y);
-        tape.mean_all(sq)
+        layer.softmax_nll(tape, store, xv, None, targets.clone())
     });
 }
 

@@ -34,8 +34,10 @@
 #            byte-identically to its plain save, resumed from its
 #            checkpoint directory with the newest checkpoint deleted,
 #            whose model.json must be byte-identical to the uninterrupted
-#            run's, and a resume from the plain save, which must fail
-#            with `error:`
+#            run's, a resume from the plain save, which must fail
+#            with `error:`, and a resume of the first (pre-training)
+#            checkpoint on a 60-trajectory city, which must fail with
+#            `error:` and write no model
 #   ablations — the `ablations` harness bin on 60 trajectories, run inside
 #            the temp dir so its experiments_out/ lands there; its JSON
 #            must hold the 4 rows it writes (Eq. 8 weights vs plain NLL,
@@ -105,7 +107,7 @@ if ! timeout 10 ./target/release/e2dtc evaluate --data "$smoke_dir/data.json" \
     exit 1
 fi
 ./target/release/e2dtc train --data "$smoke_dir/data.json" --out "$smoke_dir/ck_model.json" \
-    --preset fast --checkpoint-dir "$smoke_dir/ck" --checkpoint-every 1 --quiet
+    --preset fast --checkpoint-dir "$smoke_dir/ck" --checkpoint-every 1 --checkpoint-keep 0 --quiet
 newest_ckpt="$(ls "$smoke_dir"/ck/ckpt-*.json | sort | tail -n 1)"
 if ! tail -n +2 "$newest_ckpt" | jq -e ".weights != null and $decoder_names" >/dev/null; then
     echo "tier1: the newest training checkpoint lacks the weight table or the decoder" >&2
@@ -133,6 +135,21 @@ rc=0
     --resume "$smoke_dir/model.json" --quiet 2>"$smoke_dir/resume_err.txt" || rc=$?
 if [ "$rc" -ne 1 ] || ! grep -q '^error:' "$smoke_dir/resume_err.txt"; then
     echo "tier1: resuming from a plain model save must exit 1 with an error (got $rc)" >&2
+    exit 1
+fi
+first_ckpt="$smoke_dir/ck/ckpt-000001.json"
+if ! tail -n +2 "$first_ckpt" | jq -e '.training.phase == "Pretrain"' >/dev/null; then
+    echo "tier1: the first training checkpoint is not a pre-training one" >&2
+    exit 1
+fi
+./target/release/e2dtc generate --kind hangzhou --n 60 --out "$smoke_dir/city60.json" --quiet
+rc=0
+./target/release/e2dtc train --data "$smoke_dir/city60.json" --out "$smoke_dir/city60_model.json" \
+    --resume "$first_ckpt" --quiet 2>"$smoke_dir/city60_err.txt" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q '^error:' "$smoke_dir/city60_err.txt" \
+    || [ -e "$smoke_dir/city60_model.json" ]; then
+    echo "tier1: resuming a pre-training checkpoint on another city must exit 1 with an" \
+        "error and write no model (got $rc)" >&2
     exit 1
 fi
 root="$PWD"
