@@ -100,10 +100,6 @@ fn bench_matmul_kernels(c: &mut Criterion) {
         group.bench_function(format!("nn_{m}x{k}x{n}_parallel"), |bch| {
             bch.iter(|| black_box(a.matmul_with(&b, true)))
         });
-        let bt = b.transpose();
-        group.bench_function(format!("nt_{m}x{k}x{n}_parallel"), |bch| {
-            bch.iter(|| black_box(a.matmul_nt_with(&bt, true)))
-        });
         let at = a.transpose();
         group.bench_function(format!("tn_{m}x{k}x{n}_parallel"), |bch| {
             bch.iter(|| black_box(at.matmul_tn_with(&b, true)))

@@ -9,38 +9,49 @@
 //! everything succeeded, `1` when some experiments failed, `2` when all
 //! of them did.
 //!
-//! Usage: `all_experiments [--scale paper] [--seed <s>] [--log-json PATH]`
-//! — `--log-json` writes a structured JSONL run log (same schema as
-//! `e2dtc train --log-json`, see DESIGN.md §11) with one timed span per
-//! experiment; it is consumed here, not forwarded, because each child
-//! process would otherwise truncate the shared file. All other arguments
-//! are forwarded verbatim to each experiment.
+//! Usage: `all_experiments [--scale paper] [--n <count>] [--seed <s>]
+//! [--log-json PATH]` — `--log-json` writes a structured JSONL run log
+//! (same schema as `e2dtc train --log-json`, see DESIGN.md §11) with one
+//! timed span per experiment; it is consumed here, not forwarded, because
+//! each child process would otherwise truncate the shared file. All other
+//! arguments are checked with the experiments' own parser
+//! ([`RunArgs::parse_from`]) before anything runs, then forwarded
+//! verbatim to each experiment.
 
+use e2dtc_bench::RunArgs;
 use std::process::{Command, ExitCode};
 use traj_obs::Event;
 
 const EXPERIMENTS: [&str; 8] =
     ["table2", "table3", "table4", "fig3", "fig4", "fig5", "fig6", "ablations"];
 
-/// Splits `--log-json <path>` out of the raw argument list; everything
-/// else is forwarded to the experiment binaries.
-fn extract_log_json(args: Vec<String>) -> (Option<String>, Vec<String>) {
+/// Splits `--log-json <path>` out of the raw argument list and checks
+/// everything else, which is forwarded to the experiment binaries, with
+/// their own parser.
+fn split_args(args: Vec<String>) -> Result<(Option<String>, RunArgs, Vec<String>), String> {
     let mut log_json = None;
     let mut forwarded = Vec::with_capacity(args.len());
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         if arg == "--log-json" {
-            log_json = it.next();
+            log_json = Some(it.next().ok_or("--log-json needs a path")?);
         } else {
             forwarded.push(arg);
         }
     }
-    (log_json, forwarded)
+    let run = RunArgs::parse_from(forwarded.clone())?;
+    Ok((log_json, run, forwarded))
 }
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (log_json, args) = extract_log_json(raw);
+    let (log_json, run, args) = match split_args(raw) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if let Some(path) = &log_json {
         match traj_obs::jsonl_recorder(path) {
             Ok(rec) => traj_obs::set_global(rec),
@@ -51,18 +62,12 @@ fn main() -> ExitCode {
         }
     }
     let recorder = traj_obs::global();
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
     if recorder.enabled() {
         recorder.emit(&Event::RunHeader {
             schema: traj_obs::event::SCHEMA_VERSION,
             ts_ms: traj_obs::unix_millis(),
             name: "all_experiments".to_string(),
-            seed,
+            seed: run.seed,
             git: traj_obs::git_describe(),
             config: serde::Value::Array(
                 args.iter().map(|a| serde::Value::Str(a.clone())).collect(),

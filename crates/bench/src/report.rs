@@ -93,35 +93,6 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Parses `--scale paper|small` and `--n <count>` style overrides from
-/// argv; returns (scale_is_paper, n_override, seed).
-pub fn parse_args() -> (bool, Option<usize>, u64) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut paper = false;
-    let mut n = None;
-    let mut seed = 7;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                paper = args[i + 1] == "paper";
-                i += 1;
-            }
-            "--n" if i + 1 < args.len() => {
-                n = args[i + 1].parse().ok();
-                i += 1;
-            }
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().unwrap_or(7);
-                i += 1;
-            }
-            other => eprintln!("ignoring unknown argument: {other}"),
-        }
-        i += 1;
-    }
-    (paper, n, seed)
-}
-
 /// Path helper for reading artifacts back.
 pub fn artifact(name: &str) -> PathBuf {
     Path::new("experiments_out").join(name)

@@ -8,7 +8,6 @@
 //! only what is specific to their experiment.
 
 use crate::datasets::{labelled_dataset, DatasetKind};
-use crate::report::parse_args;
 use e2dtc::{E2dtc, E2dtcConfig, FrozenEncoder};
 use traj_data::LabeledDataset;
 
@@ -25,10 +24,36 @@ pub struct RunArgs {
 }
 
 impl RunArgs {
-    /// Parses argv (same grammar as [`crate::report::parse_args`]).
+    /// Parses the experiment flags (without the program name):
+    /// `--scale paper|small` (default small), `--n <trajectories>` (a
+    /// positive count) and `--seed <s>` (default 7). An unknown flag, a
+    /// flag without its value or a value that does not parse is an error.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut run = Self { paper: false, n_override: None, seed: 7 };
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            if !matches!(flag.as_str(), "--scale" | "--n" | "--seed") {
+                return Err(format!("unknown flag {flag}"));
+            }
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            let bad = || format!("bad value for {flag}: {value:?}");
+            match flag.as_str() {
+                "--scale" if value == "paper" || value == "small" => run.paper = value == "paper",
+                "--n" => run.n_override = Some(value.parse().ok().filter(|&n| n > 0).ok_or_else(bad)?),
+                "--seed" => run.seed = value.parse().map_err(|_| bad())?,
+                _ => return Err(bad()),
+            }
+        }
+        Ok(run)
+    }
+
+    /// Parses the process arguments with [`RunArgs::parse_from`]; on an
+    /// error prints `error: …` and exits with status 1.
     pub fn parse() -> Self {
-        let (paper, n_override, seed) = parse_args();
-        Self { paper, n_override, seed }
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
     }
 
     /// The dataset cardinality: the `--n` override when given, else the

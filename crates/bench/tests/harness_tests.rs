@@ -3,6 +3,7 @@
 use e2dtc_bench::datasets::{labelled_dataset, DatasetKind};
 use e2dtc_bench::methods::{run_kmedoids, Scores};
 use e2dtc_bench::report::{fmt3, fmt_secs, Table};
+use e2dtc_bench::RunArgs;
 use traj_dist::Metric;
 
 #[test]
@@ -34,6 +35,32 @@ fn formatters() {
     assert_eq!(fmt_secs(0.0123), "12 ms");
     assert_eq!(fmt_secs(3.21), "3.21 s");
     assert_eq!(fmt_secs(250.0), "250 s");
+}
+
+fn parse(args: &[&str]) -> Result<RunArgs, String> {
+    RunArgs::parse_from(args.iter().map(|a| a.to_string()))
+}
+
+#[test]
+fn run_args_default_to_seed_7_at_small_scale() {
+    let run = parse(&[]).expect("no flags parse");
+    assert_eq!((run.paper, run.n_override, run.seed), (false, None, 7));
+    let run = parse(&["--scale", "paper", "--n", "120", "--seed", "3"]).expect("valid flags parse");
+    assert_eq!((run.paper, run.n_override, run.seed), (true, Some(120), 3));
+}
+
+#[test]
+fn run_args_reject_unknown_flags_and_bad_or_missing_values() {
+    for (args, want) in [
+        (&["--bogus"][..], "unknown flag --bogus"),
+        (&["--n", "abc"], "bad value for --n"),
+        (&["--n", "0"], "bad value for --n"),
+        (&["--seed", "3", "--seed"], "--seed needs a value"),
+        (&["--scale", "huge"], "bad value for --scale"),
+    ] {
+        let err = parse(args).expect_err("must be rejected");
+        assert!(err.contains(want), "{args:?}: {err}");
+    }
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! `r1, r2 ∈ {0, 0.2, 0.4, 0.6}` each trajectory yields 16 `(T'_a, T_a)`
 //! pairs.
 
+use crate::synth::gaussian;
 use crate::trajectory::Trajectory;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -98,14 +99,6 @@ pub fn corrupt(
 ) -> Trajectory {
     let down = downsample(t, drop_rate, rng);
     distort(&down, distort_rate, noise_std_m, rng)
-}
-
-/// One standard-normal sample (Box–Muller; duplicated from `traj-nn` to
-/// keep the data crate free of the NN dependency).
-fn gaussian(rng: &mut impl Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

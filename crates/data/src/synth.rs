@@ -462,7 +462,10 @@ fn sample_cluster(cum: &[f64], rng: &mut impl Rng) -> usize {
     cum.iter().position(|&c| x < c).unwrap_or(cum.len() - 1)
 }
 
-fn gaussian(rng: &mut impl Rng) -> f64 {
+/// One standard-normal `f64` sample (Box–Muller), shared by the city
+/// generator and [`crate::augment::distort`]; kept in this crate so it
+/// does not depend on `traj-nn`.
+pub(crate) fn gaussian(rng: &mut impl Rng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

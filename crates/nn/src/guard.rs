@@ -35,15 +35,13 @@ pub struct NonFiniteGuard {
     /// escalation (the guard only ever skips).
     patience: usize,
     consecutive: usize,
-    skipped: usize,
-    rollbacks: usize,
 }
 
 impl NonFiniteGuard {
     /// Creates a guard that requests a rollback after `patience`
     /// consecutive non-finite batches (`0` = skip-only, never roll back).
     pub fn new(patience: usize) -> Self {
-        Self { patience, consecutive: 0, skipped: 0, rollbacks: 0 }
+        Self { patience, consecutive: 0 }
     }
 
     /// Inspects one batch: `loss` is the scalar training loss, `store`
@@ -54,11 +52,9 @@ impl NonFiniteGuard {
             self.consecutive = 0;
             return GuardVerdict::Proceed;
         }
-        self.skipped += 1;
         self.consecutive += 1;
         if self.patience > 0 && self.consecutive >= self.patience {
             self.consecutive = 0;
-            self.rollbacks += 1;
             GuardVerdict::Rollback
         } else {
             GuardVerdict::Skip
@@ -69,16 +65,6 @@ impl NonFiniteGuard {
     /// snapshot, so the replayed epoch starts with a clean slate).
     pub fn reset_streak(&mut self) {
         self.consecutive = 0;
-    }
-
-    /// Total batches skipped over the guard's lifetime.
-    pub fn skipped(&self) -> usize {
-        self.skipped
-    }
-
-    /// Total rollbacks requested over the guard's lifetime.
-    pub fn rollbacks(&self) -> usize {
-        self.rollbacks
     }
 }
 
@@ -99,7 +85,6 @@ mod tests {
         let mut guard = NonFiniteGuard::new(3);
         let store = store_with_grad(0.5);
         assert_eq!(guard.observe(1.0, &store), GuardVerdict::Proceed);
-        assert_eq!(guard.skipped(), 0);
     }
 
     #[test]
@@ -107,7 +92,6 @@ mod tests {
         let mut guard = NonFiniteGuard::new(3);
         let store = store_with_grad(0.5);
         assert_eq!(guard.observe(f32::NAN, &store), GuardVerdict::Skip);
-        assert_eq!(guard.skipped(), 1);
     }
 
     #[test]
@@ -124,7 +108,6 @@ mod tests {
         assert_eq!(guard.observe(f32::NAN, &store), GuardVerdict::Skip);
         assert_eq!(guard.observe(f32::NAN, &store), GuardVerdict::Skip);
         assert_eq!(guard.observe(f32::NAN, &store), GuardVerdict::Rollback);
-        assert_eq!(guard.rollbacks(), 1);
         // Streak restarts after the rollback.
         assert_eq!(guard.observe(f32::NAN, &store), GuardVerdict::Skip);
     }
@@ -146,7 +129,5 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(guard.observe(f32::NAN, &store), GuardVerdict::Skip);
         }
-        assert_eq!(guard.rollbacks(), 0);
-        assert_eq!(guard.skipped(), 10);
     }
 }

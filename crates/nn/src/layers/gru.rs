@@ -110,8 +110,8 @@ impl GruCell {
         debug_assert_eq!(h.cols(), self.hidden_dim, "GRU hidden width mismatch");
         crate::telemetry::GRU_CELL_STEPS.inc();
         crate::telemetry::GRU_CELL_ROWS.add(x.rows() as u64);
-        affine_acc(x, store.get(self.w_x), store.get(self.b_x), gx);
-        affine_acc(h, store.get(self.w_h), store.get(self.b_h), gh);
+        x.affine_acc(store.get(self.w_x), store.get(self.b_x), gx);
+        h.affine_acc(store.get(self.w_h), store.get(self.b_h), gh);
         for row in 0..x.rows() {
             gates_row(gx.row_mut(row), gh.row(row), h.row(row), out.row_mut(row));
         }
@@ -158,18 +158,6 @@ impl GruCell {
     /// Fused `(1, 3 * hidden)` recurrent-side bias `[0|0|b_hn]`.
     pub fn b_h(&self) -> ParamId {
         self.b_h
-    }
-}
-
-/// `out += a W + b`, with the `(1, cols)` bias added to every row. Into a
-/// zeroed `out` this is bit-identical to `matmul` followed by
-/// `add_row_broadcast`, without the two temporaries.
-fn affine_acc(a: &Tensor, w: &Tensor, b: &Tensor, out: &mut Tensor) {
-    a.matmul_acc(w, out);
-    for row in 0..out.rows() {
-        for (d, &bv) in out.row_mut(row).iter_mut().zip(b.data()) {
-            *d += bv;
-        }
     }
 }
 

@@ -249,16 +249,13 @@ impl Tape {
         live: Option<&[usize]>,
         targets: Vec<Vec<(usize, f32)>>,
     ) -> Var {
-        let mut probs = live_view(self.value(h), live).matmul(self.value(w));
-        assert_eq!(probs.rows(), targets.len(), "one target distribution per live row");
-        let bias = self.value(b);
-        assert_eq!(bias.shape(), (1, probs.cols()), "bias must be a (1, vocab) row");
+        let rows = live.map_or(self.value(h).rows(), <[usize]>::len);
+        assert_eq!(rows, targets.len(), "one target distribution per live row");
+        let mut probs = Tensor::zeros(rows, self.value(w).cols());
+        live_view(self.value(h), live).affine_acc(self.value(w), self.value(b), &mut probs);
         let mut loss = 0.0;
         for (r, tgt) in targets.iter().enumerate() {
             let row = probs.row_mut(r);
-            for (x, &bv) in row.iter_mut().zip(bias.data()) {
-                *x += bv;
-            }
             softmax_in_place(row);
             for &(j, wt) in tgt {
                 // Clamp to avoid -inf when a kNN weight lands on a ~0 prob.
@@ -360,8 +357,7 @@ impl Tape {
         // Transposed right operands of matmuls, memoized per backward pass.
         // Parameters dedupe to a single node per tape, so a weight used at
         // every timestep of a recurrence is transposed once here instead of
-        // once per step. `matmul(g, bᵀ)` runs the same kernel on the same
-        // buffer `matmul_nt(g, b)` would build internally, bit for bit.
+        // once per step.
         let mut bt_cache: HashMap<usize, Tensor> = HashMap::new();
 
         for idx in (0..=loss.0).rev() {

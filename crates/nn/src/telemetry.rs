@@ -13,8 +13,8 @@
 
 use traj_obs::Counter;
 
-/// Matrix-product kernel invocations (all of `matmul`/`matmul_tn`/
-/// `matmul_nt` and their accumulate variants).
+/// Matrix-product kernel invocations (all of `matmul`/`matmul_tn` and
+/// their accumulate variants).
 pub static MATMUL_CALLS: Counter = Counter::new("nn.matmul_calls");
 
 /// Floating-point operations issued by matrix-product kernels

@@ -92,23 +92,27 @@ fn par_row_chunk(m: usize) -> usize {
     target.div_ceil(MR) * MR
 }
 
-/// Computes a block of output rows of `A @ B` into `out`.
+/// Computes a block of output rows of `A @ B` into `out`, where `b` is all
+/// of `B` (`k_dim x n`) and `a` holds `A` from the block's first row on:
+/// `A[i][k]` is `a[i * k_dim + k]`, or with `TN` (`A` stored transposed
+/// with row stride `lda`, as in the weight gradient `Xᵀ·G`)
+/// `a[k * lda + i]`. Only where a coefficient is read depends on the
+/// layout.
 ///
-/// `a` holds the matching rows of `A` (`out.len() / n` rows of `k_dim`
-/// values); `b` is all of `B` (`k_dim x n`). Each step is one `mul_add`
-/// (a single rounding, so the result does not depend on whether the
-/// target has hardware FMA). Full `MR x NR` tiles accumulate from `+0.0`
-/// over increasing `k` and then add the sum to `out`; the ragged column
-/// tail and the tail rows accumulate straight into `out` in the same `k`
-/// order. Which path an element takes depends only on its position in
-/// the whole output (row chunks are multiples of `MR`), so serial and
-/// row-parallel invocations agree bit-for-bit. Into a zeroed output both
-/// paths give the same bits unless the sum underflows to `-0.0`, which
-/// the tile epilogue turns into `+0.0`.
-fn mm_nn_block(a: &[f32], k_dim: usize, b: &[f32], n: usize, out: &mut [f32]) {
+/// Each step is one `mul_add` (a single rounding, so the result does not
+/// depend on whether the target has hardware FMA). Full `MR x NR` tiles
+/// accumulate from `+0.0` over increasing `k` and then add the sum to
+/// `out`; the ragged column tail and the tail rows accumulate straight
+/// into `out` in the same `k` order. Which path an element takes depends
+/// only on its position in the whole output (row chunks are multiples of
+/// `MR`), so serial and row-parallel invocations agree bit-for-bit. Into a
+/// zeroed output both paths give the same bits unless the sum underflows
+/// to `-0.0`, which the tile epilogue turns into `+0.0`.
+fn mm_block<const TN: bool>(a: &[f32], lda: usize, k_dim: usize, b: &[f32], n: usize, out: &mut [f32]) {
     if n == 0 {
         return;
     }
+    let coef = |i: usize, k: usize| if TN { a[k * lda + i] } else { a[i * k_dim + k] };
     let rows = out.len() / n;
     let mut r = 0;
     while r + MR <= rows {
@@ -121,7 +125,7 @@ fn mm_nn_block(a: &[f32], k_dim: usize, b: &[f32], n: usize, out: &mut [f32]) {
             for k in 0..k_dim {
                 let bv = &b[k * n + j..k * n + j + NR];
                 for (i, acc_row) in acc.iter_mut().enumerate() {
-                    let c = a[(r + i) * k_dim + k];
+                    let c = coef(r + i, k);
                     for (slot, &bx) in acc_row.iter_mut().zip(bv) {
                         *slot = c.mul_add(bx, *slot);
                     }
@@ -140,69 +144,7 @@ fn mm_nn_block(a: &[f32], k_dim: usize, b: &[f32], n: usize, out: &mut [f32]) {
             for k in 0..k_dim {
                 let b_tail = &b[k * n + j..(k + 1) * n];
                 for i in 0..MR {
-                    let c = a[(r + i) * k_dim + k];
-                    let dst = &mut out[(r + i) * n + j..(r + i + 1) * n];
-                    for (o, &bv) in dst.iter_mut().zip(b_tail) {
-                        *o = c.mul_add(bv, *o);
-                    }
-                }
-            }
-        }
-        r += MR;
-    }
-    while r < rows {
-        let out_row = &mut out[r * n..(r + 1) * n];
-        let a_row = &a[r * k_dim..(r + 1) * k_dim];
-        for (k, &c) in a_row.iter().enumerate() {
-            let b_row = &b[k * n..(k + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o = c.mul_add(bv, *o);
-            }
-        }
-        r += 1;
-    }
-}
-
-/// Computes output rows `[row0, row0 + out.len() / n)` of `A^T @ B` into
-/// `out`, where `a` is the untransposed `(k_dim, a_cols)` matrix.
-///
-/// Same register blocking, `mul_add` contract and `k` ordering as
-/// [`mm_nn_block`]; the coefficients are just gathered down a column of
-/// `a` instead of along a row.
-fn mm_tn_block(a: &[f32], a_cols: usize, row0: usize, k_dim: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    if n == 0 {
-        return;
-    }
-    let rows = out.len() / n;
-    let mut r = 0;
-    while r + MR <= rows {
-        let mut j = 0;
-        while j + NR <= n {
-            let mut acc = [[0.0f32; NR]; MR];
-            for k in 0..k_dim {
-                let bv = &b[k * n + j..k * n + j + NR];
-                let base = k * a_cols + row0 + r;
-                for (i, acc_row) in acc.iter_mut().enumerate() {
-                    let c = a[base + i];
-                    for (slot, &bx) in acc_row.iter_mut().zip(bv) {
-                        *slot = c.mul_add(bx, *slot);
-                    }
-                }
-            }
-            for (i, acc_row) in acc.iter().enumerate() {
-                let dst = &mut out[(r + i) * n + j..(r + i) * n + j + NR];
-                for (o, &v) in dst.iter_mut().zip(acc_row) {
-                    *o += v;
-                }
-            }
-            j += NR;
-        }
-        if j < n {
-            for k in 0..k_dim {
-                let b_tail = &b[k * n + j..(k + 1) * n];
-                let base = k * a_cols + row0 + r;
-                for i in 0..MR {
-                    let c = a[base + i];
+                    let c = coef(r + i, k);
                     let dst = &mut out[(r + i) * n + j..(r + i + 1) * n];
                     for (o, &bv) in dst.iter_mut().zip(b_tail) {
                         *o = c.mul_add(bv, *o);
@@ -215,7 +157,7 @@ fn mm_tn_block(a: &[f32], a_cols: usize, row0: usize, k_dim: usize, b: &[f32], n
     while r < rows {
         let out_row = &mut out[r * n..(r + 1) * n];
         for k in 0..k_dim {
-            let c = a[k * a_cols + row0 + r];
+            let c = coef(r, k);
             let b_row = &b[k * n..(k + 1) * n];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
                 *o = c.mul_add(bv, *o);
@@ -408,22 +350,43 @@ impl Tensor {
         self.matmul_into(other, out, m * k * n >= PAR_FLOP_THRESHOLD);
     }
 
-    fn matmul_into(&self, other: &Tensor, out: &mut Tensor, parallel: bool) {
-        count_matmul(self.rows, self.cols, other.cols);
-        self.mm_into(other, out, parallel);
+    /// `out += self @ w + b`, with the `(1, cols)` bias added to every row:
+    /// the affine map of the GRU gates and of the decoder logits. Into a
+    /// zeroed `out` this is bit-identical to `matmul` followed by
+    /// `add_row_broadcast`, without the two temporaries.
+    ///
+    /// # Panics
+    /// Panics on a shape mismatch.
+    pub(crate) fn affine_acc(&self, w: &Tensor, b: &Tensor, out: &mut Tensor) {
+        assert_eq!(b.shape(), (1, out.cols), "bias must be a (1, {}) row", out.cols);
+        self.matmul_acc(w, out);
+        for row in 0..out.rows {
+            for (d, &bv) in out.row_mut(row).iter_mut().zip(&b.data) {
+                *d += bv;
+            }
+        }
     }
 
-    /// `out += self @ other`, uncounted: the body of [`Tensor::matmul_into`].
-    fn mm_into(&self, other: &Tensor, out: &mut Tensor, parallel: bool) {
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        if parallel && m > 0 && n > 0 {
+    fn matmul_into(&self, other: &Tensor, out: &mut Tensor, parallel: bool) {
+        count_matmul(self.rows, self.cols, other.cols);
+        self.mm_into::<false>(other, out, parallel);
+    }
+
+    /// `out += self @ other`, or `out += selfᵀ @ other` with `TN`,
+    /// uncounted: the one dispatch behind every product. Large products
+    /// split over row chunks (multiples of `MR`) on the rayon pool.
+    fn mm_into<const TN: bool>(&self, other: &Tensor, out: &mut Tensor, parallel: bool) {
+        let (m, k, n) = (out.rows, other.rows, other.cols);
+        // With k = 0 a transposed `self` is empty and has no row offsets.
+        if parallel && m > 0 && n > 0 && k > 0 {
             let chunk_rows = par_row_chunk(m);
             out.data.par_chunks_mut(chunk_rows * n).enumerate_for_each(|idx, chunk| {
                 let row0 = idx * chunk_rows;
-                mm_nn_block(&self.data[row0 * k..], k, &other.data, n, chunk);
+                let a = &self.data[if TN { row0 } else { row0 * k }..];
+                mm_block::<TN>(a, self.cols, k, &other.data, n, chunk);
             });
         } else {
-            mm_nn_block(&self.data, k, &other.data, n, &mut out.data);
+            mm_block::<TN>(&self.data, self.cols, k, &other.data, n, &mut out.data);
         }
     }
 
@@ -475,7 +438,7 @@ impl Tensor {
                 a.row_mut(dst).copy_from_slice(self.row(i));
                 acc.row_mut(dst).copy_from_slice(out.row(rows[i]));
             }
-            a.mm_into(other, &mut acc, parallel);
+            a.mm_into::<false>(other, &mut acc, parallel);
             for (src, &i) in group.iter().enumerate() {
                 out.row_mut(rows[i]).copy_from_slice(acc.row(src));
             }
@@ -513,50 +476,8 @@ impl Tensor {
     }
 
     fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor, parallel: bool) {
-        let (k, m, n) = (self.rows, self.cols, other.cols);
-        count_matmul(m, k, n);
-        if parallel && m > 0 && n > 0 {
-            let chunk_rows = par_row_chunk(m);
-            out.data.par_chunks_mut(chunk_rows * n).enumerate_for_each(|idx, chunk| {
-                mm_tn_block(&self.data, m, idx * chunk_rows, k, &other.data, n, chunk);
-            });
-        } else {
-            mm_tn_block(&self.data, m, 0, k, &other.data, n, &mut out.data);
-        }
-    }
-
-    /// `self @ other^T` without materializing the transpose.
-    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_nt shape mismatch: ({}, {}) @ ({}, {})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        self.matmul_nt_with(other, m * k * n >= PAR_FLOP_THRESHOLD)
-    }
-
-    /// [`Tensor::matmul_nt`] with the kernel path chosen explicitly.
-    pub fn matmul_nt_with(&self, other: &Tensor, parallel: bool) -> Tensor {
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        count_matmul(m, k, n);
-        // One blocked transpose of `other` turns the k-reduction dots —
-        // which serialize on FMA latency — into the streaming row-update
-        // form of `mm_nn_block`. The nn kernel accumulates each element
-        // over k in increasing order, exactly the plain dot-product order,
-        // so the rewrite (and the row split) changes no bits.
-        let bt = other.transpose();
-        let mut out = Tensor::zeros(m, n);
-        if parallel && m > 0 && n > 0 {
-            let chunk_rows = par_row_chunk(m);
-            out.data.par_chunks_mut(chunk_rows * n).enumerate_for_each(|idx, chunk| {
-                let row0 = idx * chunk_rows;
-                mm_nn_block(&self.data[row0 * k..], k, &bt.data, n, chunk);
-            });
-        } else {
-            mm_nn_block(&self.data, k, &bt.data, n, &mut out.data);
-        }
-        out
+        count_matmul(self.cols, self.rows, other.cols);
+        self.mm_into::<true>(other, out, parallel);
     }
 
     /// Returns the transpose, copying in `TRANSPOSE_BLOCK`-square tiles
@@ -801,13 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_nt_equals_explicit_transpose() {
-        let a = Tensor::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Tensor::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0], vec![9.0, 10.0]]);
-        assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = Tensor::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
@@ -831,9 +745,7 @@ mod tests {
         for &(m, k, n) in &[(1, 7, 5), (4, 4, 4), (33, 17, 29), (70, 23, 41)] {
             let a = varied(m, k, 1);
             let b = varied(k, n, 2);
-            let bt = varied(n, k, 3);
             assert_eq!(a.matmul_with(&b, false), a.matmul_with(&b, true), "nn {m}x{k}x{n}");
-            assert_eq!(a.matmul_nt_with(&bt, false), a.matmul_nt_with(&bt, true), "nt {m}x{k}x{n}");
             let at = varied(k, m, 4);
             assert_eq!(at.matmul_tn_with(&b, false), at.matmul_tn_with(&b, true), "tn {m}x{k}x{n}");
         }
@@ -1048,12 +960,11 @@ mod tests {
             let b = varied(k, n, 12);
             let zeroed = Tensor::zeros(m, n);
             let filled = varied(m, n, 13);
-            let (at, bt) = (a.transpose(), b.transpose());
+            let at = a.transpose();
             let want = bits(&mul_add_reference(&a, &b, &zeroed));
             for parallel in [false, true] {
                 assert_eq!(bits(&a.matmul_with(&b, parallel)), want, "nn {m}x{k}x{n}");
                 assert_eq!(bits(&at.matmul_tn_with(&b, parallel)), want, "tn {m}x{k}x{n}");
-                assert_eq!(bits(&a.matmul_nt_with(&bt, parallel)), want, "nt {m}x{k}x{n}");
             }
             for out0 in [&zeroed, &filled] {
                 let want = bits(&mul_add_reference(&a, &b, out0));

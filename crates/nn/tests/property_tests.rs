@@ -78,8 +78,6 @@ proptest! {
         let b = random_tensor(k, n, &mut rng);
         prop_assert_eq!(a.matmul_with(&b, false), a.matmul_with(&b, true));
         prop_assert_eq!(a.matmul(&b), a.matmul_with(&b, false));
-        let bt = random_tensor(n, k, &mut rng);
-        prop_assert_eq!(a.matmul_nt_with(&bt, false), a.matmul_nt_with(&bt, true));
         let at = random_tensor(k, m, &mut rng);
         prop_assert_eq!(at.matmul_tn_with(&b, false), at.matmul_tn_with(&b, true));
     }
@@ -97,8 +95,6 @@ proptest! {
         let a = random_tensor(m, k, &mut rng);
         let b = random_tensor(k, n, &mut rng);
         prop_assert_eq!(a.matmul_with(&b, false), a.matmul_with(&b, true));
-        let bt = random_tensor(n, k, &mut rng);
-        prop_assert_eq!(a.matmul_nt_with(&bt, false), a.matmul_nt_with(&bt, true));
         let at = random_tensor(k, m, &mut rng);
         prop_assert_eq!(at.matmul_tn_with(&b, false), at.matmul_tn_with(&b, true));
     }

@@ -42,6 +42,8 @@
 #            the temp dir so its experiments_out/ lands there; its JSON
 #            must hold the 4 rows it writes (Eq. 8 weights vs plain NLL,
 #            k-means++ vs random init)
+#   flags  — an experiment bin (`table2`) given an unknown flag or a bad
+#            `--n` value must exit non-zero with `error:`
 #   serial ≡ parallel — train and embed once with RAYON_NUM_THREADS=1
 #            and once on the default pool; the two model.json files and
 #            the two embed outputs must be byte-identical. Twice: on an
@@ -158,6 +160,15 @@ if ! jq -e 'length == 4' "$smoke_dir/experiments_out/ablations.json" >/dev/null;
     echo "tier1: ablations.json does not hold the 4 ablation rows" >&2
     exit 1
 fi
+for bad_args in "--bogus" "--n abc"; do
+    rc=0
+    # shellcheck disable=SC2086 # split "--n abc" into flag and value
+    (cd "$smoke_dir" && "$root/target/release/table2" $bad_args >/dev/null 2>table2_err.txt) || rc=$?
+    if [ "$rc" -eq 0 ] || ! grep -q '^error:' "$smoke_dir/table2_err.txt"; then
+        echo "tier1: table2 $bad_args must exit non-zero with an error (got $rc)" >&2
+        exit 1
+    fi
+done
 
 # serial_vs_parallel <data> <preset> <tag>: train and embed at one rayon
 # thread and on the default pool; both file pairs must be byte-identical.
