@@ -4,12 +4,50 @@
 //! EDR counts the minimum number of insert/delete/substitute edits needed
 //! to align the sequences under that predicate. [`edr_projected`] runs
 //! the DP over pre-projected [`ProjectedTraj`] buffers.
+//!
+//! The DP is Myers' bit-vector edit distance (Myers, J. ACM 1999) in
+//! Hyyrö's block form (Hyyrö, "A bit-vector algorithm for computing
+//! Levenshtein and Damerau edit distances", Nordic J. Computing 2003):
+//! one `u64` word holds the vertical deltas of 64 DP cells, so a row of
+//! the table costs a handful of word operations per 64 points of `b`
+//! instead of one dependent `f64` add→min chain per cell. The recurrence
+//! reads only the previous row and the row's match mask, so it holds for
+//! any binary match relation, the ε-threshold included, and the edit
+//! count it returns is the exact integer the full table holds.
 
 use crate::project::ProjectedTraj;
+
+/// Fills `out` with the match mask of point `(ax, ay)` against `b`: bit
+/// `k` of word `w` is set when `b`'s point `64·w + k` lies within the
+/// threshold, `dx.mul_add(dx, dy·dy) <= eps2`. Bits past `b.len()` stay
+/// clear. NaN coordinates never match. `out.len()` must be
+/// `b.len().div_ceil(64)`. Every lane is independent, so the loop
+/// vectorizes; EDR and LCSS share it.
+#[inline]
+pub(crate) fn match_masks(ax: f64, ay: f64, b: &ProjectedTraj, eps2: f64, out: &mut [u64]) {
+    debug_assert_eq!(out.len(), b.len().div_ceil(64));
+    for (word, (xs, ys)) in out.iter_mut().zip(b.xs().chunks(64).zip(b.ys().chunks(64))) {
+        let mut bits = 0u64;
+        for (k, (&bx, &by)) in xs.iter().zip(ys).enumerate() {
+            let dx = ax - bx;
+            let dy = ay - by;
+            bits |= u64::from(dx.mul_add(dx, dy * dy) <= eps2) << k;
+        }
+        *word = bits;
+    }
+}
 
 /// Raw EDR edit count over pre-projected buffers. The match predicate
 /// compares squared distance against `eps_m²`, so the inner loop has no
 /// trig *and* no square root.
+///
+/// Each point of `a` advances one column of Myers' algorithm over `b`:
+/// per 64-point word, `Pv`/`Mv` flag the cells whose value is one more /
+/// one less than the cell above, and the horizontal delta `hin ∈ {−1, 0,
+/// +1}` passes from word to word. The first column `D[0][j] = j` is all
+/// `+1` steps (`Pv = !0`), the top boundary `D[i][0] = i` shifts a `+1`
+/// into the first word of every row, and the running score `D[i][m]`
+/// follows the delta at bit `(m − 1) % 64` of the last word.
 pub fn edr_projected(a: &ProjectedTraj, b: &ProjectedTraj, eps_m: f64) -> f64 {
     let (n, m) = (a.len(), b.len());
     if n == 0 {
@@ -19,31 +57,31 @@ pub fn edr_projected(a: &ProjectedTraj, b: &ProjectedTraj, eps_m: f64) -> f64 {
         return n as f64;
     }
     let eps2 = eps_m * eps_m;
-    let (bx, by) = (b.xs(), b.ys());
-    let mut prev: Vec<f64> = (0..=m).map(|j| j as f64).collect();
-    let mut curr = vec![0.0f64; m + 1];
-    for i in 1..=n {
-        let (ax, ay) = (a.xs()[i - 1], a.ys()[i - 1]);
-        // Register-carried curr[j-1]/prev[j-1] with zipped slices — same
-        // scheme as `dtw_projected` — keeps the inner loop free of bounds
-        // checks and leaves only one op on the loop-carried chain.
-        let mut left = i as f64;
-        let mut diag = prev[0];
-        curr[0] = left;
-        for ((out, (&bxj, &byj)), &up) in
-            curr[1..].iter_mut().zip(bx.iter().zip(by)).zip(&prev[1..])
-        {
-            let dx = ax - bxj;
-            let dy = ay - byj;
-            let subcost = if dx.mul_add(dx, dy * dy) <= eps2 { 0.0 } else { 1.0 };
-            let v = (diag + subcost).min(up + 1.0).min(left + 1.0);
-            *out = v;
-            diag = up;
-            left = v;
+    let words = m.div_ceil(64);
+    let last_bit = 1u64 << ((m - 1) % 64);
+    let mut eq = vec![0u64; words];
+    let mut vert = vec![(!0u64, 0u64); words];
+    let mut score = m;
+    for (&ax, &ay) in a.xs().iter().zip(a.ys()) {
+        match_masks(ax, ay, b, eps2, &mut eq);
+        let (mut hpos, mut hneg) = (1u64, 0u64);
+        for (w, (&e, (pv, mv))) in eq.iter().zip(vert.iter_mut()).enumerate() {
+            let high = if w + 1 == words { last_bit } else { 1 << 63 };
+            let xv = e | *mv;
+            let e = e | hneg;
+            let xh = ((e & *pv).wrapping_add(*pv) ^ *pv) | e;
+            let ph = *mv | !(xh | *pv);
+            let mh = *pv & xh;
+            let (out_pos, out_neg) = (u64::from(ph & high != 0), u64::from(mh & high != 0));
+            let ph = (ph << 1) | hpos;
+            let mh = (mh << 1) | hneg;
+            *pv = mh | !(xv | ph);
+            *mv = ph & xv;
+            (hpos, hneg) = (out_pos, out_neg);
         }
-        std::mem::swap(&mut prev, &mut curr);
+        score = score + hpos as usize - hneg as usize;
     }
-    prev[m]
+    score as f64
 }
 
 #[cfg(test)]

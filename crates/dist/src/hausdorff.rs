@@ -6,31 +6,56 @@
 
 use crate::project::ProjectedTraj;
 
+/// Points of `b` scanned between two checks of the early exit: the
+/// inner `min` runs lane-wise over this many points, so it vectorizes.
+const CHUNK: usize = 8;
+
 /// Directed Hausdorff `max_{a∈A} min_{b∈B} d(a, b)` over pre-projected
 /// buffers, computed entirely in squared meters (max/min are monotone
 /// under squaring) — one square root at the very end, in
 /// [`hausdorff_projected`].
 pub fn directed_hausdorff_projected_sq(a: &ProjectedTraj, b: &ProjectedTraj) -> f64 {
+    directed_sq_from(a, b, 0.0)
+}
+
+/// `max(worst, directed Hausdorff²(a, b))`. A point of `a` stops
+/// scanning `b` as soon as it is within `worst` of some point of `b`: it
+/// can no longer raise the max. The exit is checked once per `CHUNK`
+/// points, after a lane-wise `min`. NaN distances never win a `min`, as
+/// in a plain `d2 < best` scan; `min` and `max` are exact, so the result
+/// does not depend on the scan order.
+fn directed_sq_from(a: &ProjectedTraj, b: &ProjectedTraj, mut worst: f64) -> f64 {
     if a.is_empty() {
-        return 0.0;
+        return worst;
     }
     if b.is_empty() {
         return f64::INFINITY;
     }
     let (bx, by) = (b.xs(), b.ys());
-    let mut worst = 0.0f64;
-    for i in 0..a.len() {
-        let (ax, ay) = (a.xs()[i], a.ys()[i]);
-        let mut best = f64::INFINITY;
-        for j in 0..bx.len() {
-            let dx = ax - bx[j];
-            let dy = ay - by[j];
+    let (bx_chunks, by_chunks) = (bx.chunks_exact(CHUNK), by.chunks_exact(CHUNK));
+    let (bx_tail, by_tail) = (bx_chunks.remainder(), by_chunks.remainder());
+    'points: for (&ax, &ay) in a.xs().iter().zip(a.ys()) {
+        let mut lanes = [f64::INFINITY; CHUNK];
+        for (xs, ys) in bx_chunks.clone().zip(by_chunks.clone()) {
+            for ((lane, &x), &y) in lanes.iter_mut().zip(xs).zip(ys) {
+                let dx = ax - x;
+                let dy = ay - y;
+                let d2 = dx.mul_add(dx, dy * dy);
+                *lane = if d2 < *lane { d2 } else { *lane };
+            }
+            if lanes.iter().any(|&best| best <= worst) {
+                continue 'points;
+            }
+        }
+        let mut best = lanes.into_iter().fold(f64::INFINITY, |m, l| if l < m { l } else { m });
+        for (&x, &y) in bx_tail.iter().zip(by_tail) {
+            let dx = ax - x;
+            let dy = ay - y;
             let d2 = dx.mul_add(dx, dy * dy);
             if d2 < best {
                 best = d2;
                 if best <= worst {
-                    // Early exit: this point can no longer raise the max.
-                    break;
+                    continue 'points;
                 }
             }
         }
@@ -40,8 +65,10 @@ pub fn directed_hausdorff_projected_sq(a: &ProjectedTraj, b: &ProjectedTraj) -> 
 }
 
 /// Symmetric Hausdorff distance in meters over pre-projected buffers.
+/// The second directed pass starts from the first one's value, so its
+/// points exit as soon as they cannot raise the symmetric max.
 pub fn hausdorff_projected(a: &ProjectedTraj, b: &ProjectedTraj) -> f64 {
-    directed_hausdorff_projected_sq(a, b).max(directed_hausdorff_projected_sq(b, a)).sqrt()
+    directed_sq_from(b, a, directed_hausdorff_projected_sq(a, b)).sqrt()
 }
 
 #[cfg(test)]

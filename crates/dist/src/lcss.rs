@@ -4,40 +4,48 @@
 //! Points match when within `eps_m` meters. The LCSS *distance* is
 //! `1 − LCSS/min(|A|, |B|)`. Both run over pre-projected
 //! [`ProjectedTraj`] buffers.
+//!
+//! The length is the bit-parallel LCS of Allison and Dix ("A bit-string
+//! longest-common-subsequence algorithm", IPL 1986) in the form Hyyrö
+//! gives ("Bit-parallel LCS-length computation revisited", AWOCA 2004):
+//! one bit per point of `b`, 64 to a word, and a zero bit for every step
+//! the LCS row takes. Each row reads only the previous row and the row's
+//! match mask, so the recurrence holds for the ε-threshold relation as
+//! it does for equal characters.
 
+use crate::edr::match_masks;
 use crate::project::ProjectedTraj;
 
 /// LCSS length over pre-projected buffers: squared distance against
 /// `eps_m²`, no per-cell trig or square root.
+///
+/// Per point of `a`, with match mask `M`: `U = V & M; V = (V + U) | (V &
+/// !U)`, the add's carry passing from word to word. The length is the
+/// number of zero bits among the first `|b|` bits of `V`.
 pub fn lcss_projected_length(a: &ProjectedTraj, b: &ProjectedTraj, eps_m: f64) -> usize {
     let (n, m) = (a.len(), b.len());
     if n == 0 || m == 0 {
         return 0;
     }
     let eps2 = eps_m * eps_m;
-    let (bx, by) = (b.xs(), b.ys());
-    let mut prev = vec![0usize; m + 1];
-    let mut curr = vec![0usize; m + 1];
-    for i in 1..=n {
-        curr[0] = 0;
-        let (ax, ay) = (a.xs()[i - 1], a.ys()[i - 1]);
-        // Register-carried curr[j-1]/prev[j-1] over zipped slices, as in
-        // `dtw_projected`.
-        let mut left = 0usize;
-        let mut diag = prev[0];
-        for ((out, (&bxj, &byj)), &up) in
-            curr[1..].iter_mut().zip(bx.iter().zip(by)).zip(&prev[1..])
-        {
-            let dx = ax - bxj;
-            let dy = ay - byj;
-            let v = if dx.mul_add(dx, dy * dy) <= eps2 { diag + 1 } else { up.max(left) };
-            *out = v;
-            diag = up;
-            left = v;
+    let words = m.div_ceil(64);
+    let mut matches = vec![0u64; words];
+    let mut v = vec![!0u64; words];
+    for (&ax, &ay) in a.xs().iter().zip(a.ys()) {
+        match_masks(ax, ay, b, eps2, &mut matches);
+        let mut carry = false;
+        for (vw, &mw) in v.iter_mut().zip(&matches) {
+            let u = *vw & mw;
+            let (sum, c1) = vw.overflowing_add(u);
+            let (sum, c2) = sum.overflowing_add(u64::from(carry));
+            carry = c1 | c2;
+            *vw = sum | (*vw & !u);
         }
-        std::mem::swap(&mut prev, &mut curr);
     }
-    prev[m]
+    let (last, full) = v.split_last().expect("m > 0");
+    let ones: u32 = full.iter().map(|w| w.count_ones()).sum::<u32>()
+        + (last & (u64::MAX >> (64 * words - m))).count_ones();
+    m - ones as usize
 }
 
 /// Projected LCSS distance `1 − LCSS/min(|A|, |B|)`, in `[0, 1]`.

@@ -8,6 +8,10 @@
 #            item fails
 #   test   — full test suite (unit + integration + proptests + gradchecks +
 #            telemetry no-op-overhead guard + golden-run regression)
+#   release — traj-dist's tests again under the optimized
+#            `target-cpu=native` build, where the bit-parallel EDR/LCSS
+#            kernels and the chunked Hausdorff scan run vectorized; the
+#            debug run above already traps a stray non-wrapping add
 #   fault  — fault-injection integration tests (NaN poisoning, torn/killed
 #            checkpoint saves) behind the e2dtc `fault-injection` feature
 #   bench  — every criterion bench (bench_nn, bench_dist, bench_query,
@@ -62,6 +66,7 @@ cargo build --examples
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test -q
+cargo test -q --release -p traj-dist
 cargo test -q -p e2dtc --features fault-injection --test fault_injection
 for bench in bench_nn bench_dist bench_query bench_cluster bench_dec bench_pipeline; do
     cargo bench -p e2dtc-bench --bench "$bench" -- --test
